@@ -73,8 +73,9 @@ class SessionOutcome:
         return self._signatures
 
     @property
-    def signature_matrix(self) -> Optional[np.ndarray]:
-        return self._signature_matrix
+    def signature_matrix(self) -> np.ndarray:
+        """Signatures as a ``(group, channel)`` ``uint64`` array."""
+        return self._matrix()
 
     @property
     def num_groups(self) -> int:

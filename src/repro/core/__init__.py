@@ -57,7 +57,7 @@ from .planner import (
 )
 from .random_selection import RandomSelectionPartitioner
 from .selection_hw import SelectionHardware
-from .superposition import apply_superposition, superposition_prune
+from .superposition import apply_superposition, superposition_prune_population
 from .time_model import (
     TimeEstimate,
     adaptive_cycles,
@@ -118,6 +118,6 @@ __all__ = [
     "campaign_cycles",
     "cycles_to_reach_dr",
     "session_cycles",
-    "superposition_prune",
+    "superposition_prune_population",
     "validate_partition_set",
 ]

@@ -1,118 +1,116 @@
 """Superposition-based candidate pruning (Bayraktaroglu & Orailoglu [7]).
 
 The MISR is linear, so the XOR of two sessions' *error signatures* on the
-same response channel equals the error signature of the error stream
-restricted to the **symmetric difference** of the two sessions' observed
-cell sets (errors in the common cells cancel).  No extra test sessions are
-needed: the derived signatures come for free from the ones already
-collected.
+same response channel is the error signature of the errors in the
+**symmetric difference** of the two sessions' cell sets.  Equal signatures
+(aliasing probability ``2**-width``) thus exonerate every candidate in that
+difference at no extra test cost.  Only pairs from different partitions
+count: groups of one partition are disjoint, as are channels' supports.
 
-If a derived signature is zero, the symmetric-difference region (with
-aliasing probability ``2**-width``) contains no error-capturing cells, and
-every candidate inside it can be pruned.  This recovers additional
-resolution exactly where plain intersection pruning is weakest: a cell that
-shares a failing group with a true failing cell in *every* partition
-survives intersection, but usually sits in some failing group pair whose
-symmetric difference is error-free.
-
-The procedure iterates to a fixed point because pruning one region can make
-another pair's difference decisive.
+Which pairs qualify depends on the signatures alone, never on the mask, so
+one pass is already the fixed point, and it has a closed form.  Group a
+fault's failing sessions into classes of equal (channel, signature).  A
+position lies in one group per partition, so its *coverage* by a class is
+the number of partitions whose session there is in the class.  A class
+spanning two or more partitions prunes exactly the positions with
+``0 < coverage < class size``; one confined to a partition prunes nothing.
+A collapsed signature (``channel_resolution=False``) prunes every chain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from ..bist.scan import ScanConfig
-from ..bist.session import SessionOutcome
 from .diagnosis import DiagnosisResult, _cells_from_mask
-from .partitions import Partition
 
 
-def superposition_prune(
-    partitions: Sequence[Partition],
-    outcomes: Sequence[SessionOutcome],
-    candidate_mask: np.ndarray,
-    max_rounds: int = 4,
-) -> np.ndarray:
-    """Refine a candidate mask ``[chain, position]`` using derived
-    (superposed) signatures.
+def superposition_prune_population(
+    results: Sequence[DiagnosisResult], scan_config: ScanConfig
+) -> List[DiagnosisResult]:
+    """Superposition-prune a whole result population at once, returning new
+    :class:`DiagnosisResult` objects.
 
-    ``outcomes`` must carry real MISR error signatures — the exact
-    (alias-free) session mode collapses all failing signatures to 1 and
-    would erase the information this pruning relies on.
+    Exact-mode results (every nonzero signature is 1) carry no MISR
+    signatures to compare and are rejected.
     """
-    _require_real_signatures(outcomes)
-    mask = candidate_mask.copy()
-    # Failing sessions grouped by channel: only same-channel signatures are
-    # comparable (different channels inject at different MISR stages, and
-    # their error streams have disjoint support — equal nonzero signatures
-    # across channels could only be aliasing).
-    by_channel: Dict[int, List[Tuple[int, np.ndarray, int]]] = {}
-    for part_idx, (part, outcome) in enumerate(zip(partitions, outcomes)):
-        for group, channel in outcome.failing_pairs:
-            members = part.group_of == group
-            by_channel.setdefault(channel, []).append(
-                (part_idx, members, outcome.signatures[group][channel])
-            )
-    for _round in range(max_rounds):
-        changed = False
-        for channel, sessions in by_channel.items():
-            for i in range(len(sessions)):
-                part_i, members_i, sig_i = sessions[i]
-                for j in range(i + 1, len(sessions)):
-                    part_j, members_j, sig_j = sessions[j]
-                    if part_i == part_j:
-                        # Groups of one partition are disjoint; their XOR
-                        # covers the union and can only be zero through
-                        # aliasing.
-                        continue
-                    if sig_i != sig_j:
-                        continue
-                    difference = np.logical_xor(members_i, members_j)
-                    if (mask[channel] & difference).any():
-                        mask[channel] &= ~difference
-                        changed = True
-        if not changed:
-            break
-    return mask
+    results = list(results)
+    if any(result.position_mask is None for result in results):
+        raise ValueError("result carries no position mask")
+    if len({(tuple(map(id, r.partitions)), r.outcomes[0].num_channels)
+            for r in results}) > 1:
+        # One kernel call needs one partition list and signature layout.
+        return [superposition_prune_population([r], scan_config)[0] for r in results]
+    if not results:
+        return []
+    masks = np.stack([result.position_mask for result in results])
+    masks[_pruned_entries(results, masks)] = False
+    grid = scan_config.cell_id_grid()
+    fault_idx, chain_idx, pos_idx = np.nonzero(masks & (grid >= 0))
+    cells = grid[chain_idx, pos_idx]
+    bounds = np.searchsorted(fault_idx, np.arange(len(results) + 1))
+    return [
+        DiagnosisResult(
+            actual_cells=set(result.actual_cells),
+            candidate_cells={int(c) for c in cells[bounds[f]:bounds[f + 1]]},
+            outcomes=list(result.outcomes),
+            partitions=list(result.partitions),
+            candidate_history=list(result.candidate_history),
+            position_mask=masks[f],
+        )
+        for f, result in enumerate(results)
+    ]
 
 
 def apply_superposition(
     result: DiagnosisResult, scan_config: ScanConfig, max_rounds: int = 4
 ) -> DiagnosisResult:
-    """Return a new :class:`DiagnosisResult` with superposition pruning
-    applied on top of the intersection-pruned candidates."""
-    if result.position_mask is None:
-        raise ValueError("result carries no position mask")
-    mask = superposition_prune(
-        result.partitions, result.outcomes, result.position_mask, max_rounds
-    )
-    return DiagnosisResult(
-        actual_cells=set(result.actual_cells),
-        candidate_cells=_cells_from_mask(scan_config, mask),
-        outcomes=list(result.outcomes),
-        partitions=list(result.partitions),
-        candidate_history=list(result.candidate_history),
-        position_mask=mask,
-    )
+    """One-result form of :func:`superposition_prune_population`.
+    ``max_rounds`` is kept for API compatibility: 0 skips pruning, and any
+    value >= 1 gives the same one-pass result."""
+    pruned = superposition_prune_population([result], scan_config)[0]
+    if max_rounds < 1:
+        pruned.position_mask = result.position_mask.copy()
+        pruned.candidate_cells = _cells_from_mask(scan_config, pruned.position_mask)
+    return pruned
 
 
-def _require_real_signatures(outcomes: Sequence[SessionOutcome]) -> None:
-    # Exact-mode outcomes use the placeholder signature 1 for every failing
-    # (group, channel); two or more distinct nonzero signatures cannot occur
-    # then.
-    nonzero = {
-        sig
-        for outcome in outcomes
-        for per_channel in outcome.signatures
-        for sig in per_channel
-        if sig != 0
-    }
-    if nonzero and nonzero == {1}:
-        raise ValueError(
-            "superposition pruning needs MISR signatures; run diagnosis with "
-            "a LinearCompactor instead of exact mode"
-        )
+def _pruned_entries(results: Sequence[DiagnosisResult], masks: np.ndarray):
+    """Index arrays ``(fault, chain, position)`` of the ``masks`` entries the
+    closed form prunes."""
+    partitions = results[0].partitions
+    num_parts, num_chains = len(partitions), masks.shape[1]
+    sigs = np.zeros((len(results), num_parts, max(p.num_groups for p in partitions),
+                     results[0].outcomes[0].num_channels), dtype=np.uint64)
+    for f, result in enumerate(results):
+        for p, outcome in enumerate(result.outcomes):
+            sigs[f, p, : outcome.num_groups] = outcome.signature_matrix
+    if ((sigs != 0).any(axis=(1, 2, 3)) & ~(sigs > 1).any(axis=(1, 2, 3))).any():
+        raise ValueError("superposition pruning needs MISR signatures; run "
+                         "diagnosis with a LinearCompactor instead of exact mode")
+    f, p, g, c = np.nonzero(sigs)
+    # Classes of equal (fault, channel, signature); `spans`: over >1 partition.
+    values = sigs[f, p, g, c]
+    order = np.lexsort((values, c, f))
+    f, p, g, c, values = f[order], p[order], g[order], c[order], values[order]
+    new_class = np.ones(f.size, dtype=bool)
+    new_class[1:] = (f[1:] != f[:-1]) | (c[1:] != c[:-1]) | (values[1:] != values[:-1])
+    starts = np.flatnonzero(new_class)
+    class_of = np.cumsum(new_class) - 1
+    size = np.diff(np.append(starts, f.size))
+    spans = np.minimum.reduceat(p, starts) != np.maximum.reduceat(p, starts)
+    label = np.full(sigs.shape, -1, dtype=np.int64)
+    label[f, p, g, c] = np.where(spans[class_of], class_of, -1)
+    # Each mask entry's class per partition -> its coverage by each class.
+    ef, ech, ex = np.nonzero(masks)
+    group_stack = np.stack([np.asarray(part.group_of) for part in partitions])
+    channel = ech if sigs.shape[3] == num_chains else np.zeros_like(ech)
+    labels = label[ef[:, np.newaxis], np.arange(num_parts),
+                   group_stack[:, ex].T, channel[:, np.newaxis]]
+    entry, slot = np.nonzero(labels >= 0)
+    keys, coverage = np.unique(entry * size.size + labels[entry, slot],
+                               return_counts=True)
+    hit = np.unique(keys[coverage < size[keys % size.size]] // size.size)
+    return ef[hit], ech[hit], ex[hit]

@@ -19,7 +19,7 @@ from ..bist.scan import ScanConfig
 from ..core.diagnosis import DiagnosisResult, diagnostic_resolution
 from ..core.diagnosis_batch import diagnose_population
 from ..core.partitions import Partition
-from ..core.superposition import apply_superposition
+from ..core.superposition import superposition_prune_population
 from ..core.two_step import make_partitioner
 from ..sim.faultsim import FaultResponse
 from ..soc.core_wrapper import EmbeddedCore
@@ -232,9 +232,7 @@ def evaluate_scheme(
     pruned_results: List[DiagnosisResult] = []
     if with_pruning:
         with span("superposition.prune", scheme=scheme, workload=workload.name):
-            pruned_results = [
-                apply_superposition(result, workload.scan_config) for result in results
-            ]
+            pruned_results = superposition_prune_population(results, workload.scan_config)
         with span("dr.score", scheme=scheme, workload=workload.name, pruned=True):
             dr_pruned = diagnostic_resolution(pruned_results)
     return SchemeEvaluation(scheme, dr, dr_pruned, results, pruned_results)

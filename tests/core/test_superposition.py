@@ -6,7 +6,7 @@ import pytest
 from repro.bist.misr import LinearCompactor
 from repro.bist.scan import ScanConfig
 from repro.core.diagnosis import diagnose
-from repro.core.superposition import apply_superposition, superposition_prune
+from repro.core.superposition import apply_superposition
 from repro.core.two_step import make_partitioner
 from repro.sim.bitops import pack_bits
 from repro.sim.faults import Fault
