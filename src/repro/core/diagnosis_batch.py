@@ -12,8 +12,8 @@ This module fuses the population axis too:
 3. one ``np.bitwise_xor.at`` scatter fills the whole
    ``(fault, partition, group, channel)`` signature tensor (exact mode is a
    boolean scatter),
-4. one cumulative AND over the partition axis yields every fault's
-   candidate mask *and* its full ``candidate_history`` prefix sweep.
+4. one running mask, ANDed in place with each partition's failing groups
+   (:func:`intersect_partitions`), yields every candidate mask and history.
 
 The results are bit-identical :class:`~repro.core.diagnosis.DiagnosisResult`
 objects whose :class:`~repro.bist.session.SessionOutcome` views alias
@@ -189,6 +189,22 @@ def scatter_population_signatures(
     return tensor
 
 
+def intersect_partitions(
+    failing: np.ndarray, partitions: Sequence[Partition], start_mask: np.ndarray
+):
+    """AND each partition's failing groups, gathered per position, into one
+    running mask from ``start_mask``; ``failing`` is ``[partition, fault,
+    ..., group]``.  Returns the mask and ``history[partition, fault]``."""
+    failing = np.ascontiguousarray(failing)
+    num_faults = failing.shape[1]
+    mask = np.repeat(start_mask[np.newaxis], num_faults, axis=0)
+    history = np.empty((len(partitions), num_faults), dtype=np.int64)
+    for p, part in enumerate(partitions):
+        mask &= failing[p][..., part.group_of]
+        history[p] = np.count_nonzero(mask.reshape(num_faults, -1), axis=1)
+    return mask, history
+
+
 def _diagnose_chunk(
     responses: Sequence[FaultResponse],
     scan_config: ScanConfig,
@@ -244,12 +260,11 @@ def _diagnose_chunk(
             num_faults * sum(part.num_groups for part in partitions),
         )
 
-        # Per-partition failing verdicts -> per-position masks, stacked as
-        # [partition, fault, chain, position] so one cumulative AND along
-        # the partition axis yields every prefix of the intersection sweep.
+        # Failing verdicts as [partition, fault, channel, group] for the
+        # running-mask sweep; a collapsed channel axis broadcasts over chains.
         collapsed = None
         if channel_resolution:
-            failing = tensor != 0  # [fault, partition, group, channel]
+            failing = (tensor != 0).transpose(1, 0, 3, 2)
         else:
             if exact:
                 collapsed = (tensor != 0).any(axis=3).astype(np.uint64)
@@ -259,29 +274,13 @@ def _diagnose_chunk(
                 collapsed = np.zeros(
                     (num_faults, num_parts, max_groups), dtype=np.uint64
                 )
-            failing = collapsed != 0  # [fault, partition, group]
-
-        presence = scan_config.presence_mask()  # [chain, position]
-        length = scan_config.max_length
-        prefix = np.empty(
-            (num_parts, num_faults, scan_config.num_chains, length), dtype=bool
-        )
-        for p, part in enumerate(partitions):
-            if channel_resolution:
-                # [fault, position, channel] -> [fault, chain, position]
-                prefix[p] = failing[:, p][:, part.group_of, :].transpose(0, 2, 1)
-            else:
-                prefix[p] = failing[:, p][:, part.group_of][:, np.newaxis, :]
-        np.logical_and.accumulate(prefix, axis=0, out=prefix)
-        prefix &= presence[np.newaxis, np.newaxis]
-        history = prefix.sum(axis=(2, 3))  # [partition, fault]
-
-        final_mask = prefix[-1]  # [fault, chain, position]
+            failing = (collapsed != 0).transpose(1, 0, 2)[:, :, np.newaxis]
+        presence = scan_config.presence_mask()
+        final_mask, history = intersect_partitions(failing, partitions, presence)
         grid = scan_config.cell_id_grid()
-        valid = final_mask & (grid >= 0)[np.newaxis]
-        fault_idx, chain_idx, pos_idx = np.nonzero(valid)
-        candidate_cells = grid[chain_idx, pos_idx]
-        bounds = np.searchsorted(fault_idx, np.arange(num_faults + 1))
+        flat = np.flatnonzero(final_mask)  # [fault, chain, position] order
+        candidate_cells = grid.reshape(-1)[flat % grid.size]
+        bounds = np.searchsorted(flat, np.arange(num_faults + 1) * grid.size)
 
     results: List[DiagnosisResult] = []
     for f, response in enumerate(responses):
@@ -310,7 +309,7 @@ def _diagnose_chunk(
                 outcomes=outcomes,
                 partitions=partitions,
                 candidate_history=[int(h) for h in history[:, f]],
-                position_mask=final_mask[f].copy(),
+                position_mask=final_mask[f],
             )
         )
     return results

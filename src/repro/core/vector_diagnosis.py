@@ -183,7 +183,7 @@ def _diagnose_vectors_chunk(
     partitions: Sequence[Partition],
     compactor: Optional[LinearCompactor],
 ) -> List[VectorDiagnosisResult]:
-    from .diagnosis_batch import scatter_population_signatures
+    from .diagnosis_batch import intersect_partitions, scatter_population_signatures
 
     num_faults = len(responses)
     num_parts = len(partitions)
@@ -222,14 +222,11 @@ def _diagnose_vectors_chunk(
                 group_stack[:, event_patterns], None, contributions,
             )
 
-        failing = tensor[..., 0] != 0  # [fault, partition, group]
-        prefix = np.empty((num_parts, num_faults, num_patterns), dtype=bool)
-        for p, part in enumerate(partitions):
-            prefix[p] = failing[:, p][:, part.group_of]
-        np.logical_and.accumulate(prefix, axis=0, out=prefix)
-        history = prefix.sum(axis=2)  # [partition, fault]
-
-        cand_fault, cand_pattern = np.nonzero(prefix[-1])
+        mask, history = intersect_partitions(
+            (tensor[..., 0] != 0).transpose(1, 0, 2),  # [partition, fault, group]
+            partitions, np.ones(num_patterns, dtype=bool),
+        )  # [fault, pattern], [partition, fault]
+        cand_fault, cand_pattern = np.nonzero(mask)
         cand_bounds = np.searchsorted(cand_fault, np.arange(num_faults + 1))
         # Actual failing vectors = the unique (fault, pattern) event pairs.
         pairs = np.unique(

@@ -8,6 +8,8 @@ bit-identical :class:`DiagnosisResult` objects to the per-fault
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bist.misr import LinearCompactor
 from repro.bist.scan import ScanConfig
@@ -18,6 +20,7 @@ from repro.core.diagnosis_batch import (
     diagnose_population,
     resolve_diagnosis_chunk,
 )
+from repro.core.superposition import superposition_prune_population
 from repro.core.two_step import make_partitioner
 from repro.core.vector_diagnosis import (
     diagnose_vectors,
@@ -235,6 +238,89 @@ class TestFusedEquivalence:
             workload.responses, workload.scan_config, partitions, None, workers=0
         )
         assert_results_identical(via_env, fused)
+
+
+class TestRaggedChains:
+    """Unequal chains leave trailing positions with no cell; the fused
+    kernel must clip them exactly as the per-fault oracle does."""
+
+    SCAN = ScanConfig([list(range(0, 11)), list(range(11, 18)),
+                       list(range(18, 21))])
+
+    def population(self, rng):
+        responses = [random_response(rng, 21, 16) for _ in range(10)]
+        silent = FaultResponse(Fault("silent", 0), {}, 16)
+        partitions = make_partitioner(
+            "two-step", self.SCAN.max_length, 4
+        ).partitions(4)
+        return [silent] + responses, partitions
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1000])
+    @pytest.mark.parametrize("channel_resolution", [True, False])
+    @pytest.mark.parametrize("compactor_kind", ["exact", "misr"])
+    def test_matches_per_fault_oracle(self, rng, compactor_kind,
+                                      channel_resolution, chunk):
+        responses, partitions = self.population(rng)
+        compactor = make_compactor(
+            compactor_kind, ExperimentConfig(), self.SCAN.num_chains
+        )
+        oracle = [
+            diagnose(r, self.SCAN, partitions, compactor,
+                     channel_resolution=channel_resolution)
+            for r in responses
+        ]
+        fused = diagnose_population(
+            responses, self.SCAN, partitions, compactor,
+            channel_resolution=channel_resolution, chunk=chunk, workers=0,
+        )
+        assert_results_identical(oracle, fused)
+
+    @pytest.mark.parametrize("channel_resolution", [True, False])
+    def test_masks_never_mark_missing_cells(self, rng, channel_resolution):
+        responses, partitions = self.population(rng)
+        compactor = make_compactor("misr", ExperimentConfig(), self.SCAN.num_chains)
+        fused = diagnose_population(
+            responses, self.SCAN, partitions, compactor,
+            channel_resolution=channel_resolution, workers=0,
+        )
+        per_fault = [
+            diagnose(r, self.SCAN, partitions, compactor,
+                     channel_resolution=channel_resolution)
+            for r in responses
+        ]
+        pruned = superposition_prune_population(fused, self.SCAN)
+        absent = ~self.SCAN.presence_mask()
+        for r in fused + per_fault + pruned:
+            assert not (r.position_mask & absent).any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), num_parts=st.integers(1, 6),
+       scheme=st.sampled_from(["random", "interval", "two-step"]),
+       compactor_kind=st.sampled_from(["exact", "misr"]),
+       channel_resolution=st.booleans())
+def test_candidate_history_never_grows(seed, num_parts, scheme, compactor_kind,
+                                       channel_resolution):
+    """Both fused kernels: one history entry per partition, non-increasing,
+    ending at the final candidate count."""
+    rng = np.random.default_rng(seed)
+    scan = ScanConfig([list(range(0, 13)), list(range(13, 22))])
+    responses = [random_response(rng, 22, 16) for _ in range(6)]
+    compactor = make_compactor(compactor_kind, ExperimentConfig(), scan.num_chains)
+    cell_parts = make_partitioner(scheme, scan.max_length, 4).partitions(num_parts)
+    vector_parts = make_partitioner(scheme, 16, 4).partitions(num_parts)
+    cells = diagnose_population(
+        responses, scan, cell_parts, compactor,
+        channel_resolution=channel_resolution, workers=0,
+    )
+    vectors = diagnose_vectors_population(responses, scan, vector_parts, compactor)
+    for history, final in (
+        [(r.candidate_history, r.candidate_cells) for r in cells]
+        + [(r.candidate_history, r.candidate_vectors) for r in vectors]
+    ):
+        assert len(history) == num_parts
+        assert all(a >= b for a, b in zip(history, history[1:]))
+        assert history[-1] == len(final)
 
 
 class TestFusedVectorDiagnosis:
