@@ -121,9 +121,8 @@ from repro.experiments.runner import (
     scheme_partitions,
 )
 from repro.sim.bitops import WORD_BITS
-from repro.sim.faults import collapse_faults
 from repro.sim.faultsim import FaultSimulator
-from repro.soc.core_wrapper import EmbeddedCore, _name_seed
+from repro.soc.core_wrapper import EmbeddedCore, hash_name
 from repro.telemetry import METRICS, SamplingProfiler, log
 
 NUM_GROUPS = 4
@@ -220,8 +219,7 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     )
 
     core = EmbeddedCore(_netlist(name, config), num_patterns=config.num_patterns)
-    faults = collapse_faults(core.netlist)
-    sample = faults[: min(len(faults), fault_cap)]
+    sample = core.collapsed_faults()[:fault_cap]
     sim = FaultSimulator(core.compiled, core._good)
 
     # Good-machine simulation: the level-group SoA kernel vs the per-gate
@@ -231,7 +229,7 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     compiled = core.compiled
     pi, ff = fast_pattern_matrices(
         compiled.num_inputs, compiled.num_scan_cells, config.num_patterns,
-        seed=0xACE1 ^ _name_seed(name),
+        seed=0xACE1 ^ hash_name(name),
     )
     compiled.soa_schedule()
     soa_s, soa_result = best_of(

@@ -122,10 +122,9 @@ class PodemEngine:
     """PODEM over one netlist (reusable across faults)."""
 
     def __init__(self, netlist: Netlist, backtrack_limit: int = 200):
-        netlist.validate()
         self.netlist = netlist
         self.backtrack_limit = backtrack_limit
-        self.topo = topological_order(netlist)
+        self.topo = topological_order(netlist)  # validates the netlist
         self.inputs: List[str] = list(netlist.inputs) + [
             g.output for g in netlist.flip_flops
         ]

@@ -4,9 +4,11 @@ and the benchmark library (real s27 + synthetic ISCAS-89 stand-ins)."""
 from .bench import BenchFormatError, load_bench, parse_bench, save_bench, write_bench
 from .generate import CircuitProfile, generate_circuit
 from .levelize import (
+    NetlistIndex,
     cone_gate_schedule,
     cone_span,
     fanout_cone,
+    index_netlist,
     levelize,
     observing_cells,
     topological_order,
@@ -23,6 +25,7 @@ __all__ = [
     "GateType",
     "Netlist",
     "NetlistError",
+    "NetlistIndex",
     "PROFILES",
     "SIX_LARGEST",
     "cone_gate_schedule",
@@ -30,6 +33,7 @@ __all__ = [
     "fanout_cone",
     "generate_circuit",
     "get_circuit",
+    "index_netlist",
     "levelize",
     "load_bench",
     "merge_disjoint",

@@ -157,51 +157,10 @@ class Netlist:
 
     def validate(self) -> None:
         """Raise :class:`NetlistError` on dangling nets, combinational loops,
-        or malformed I/O declarations."""
-        for net in self.outputs:
-            if net not in self.gates:
-                raise NetlistError(f"output {net!r} has no driver")
-        for gate in self.gates.values():
-            for src in gate.fanins:
-                if src not in self.gates:
-                    raise NetlistError(
-                        f"net {src!r} (fanin of {gate.output!r}) has no driver"
-                    )
-        for net in self.inputs:
-            gate = self.gates.get(net)
-            if gate is None or gate.gtype is not GateType.INPUT:
-                raise NetlistError(f"declared input {net!r} is not an INPUT gate")
-        self._check_combinational_loops()
+        or malformed I/O declarations (one :func:`index_netlist` pass)."""
+        from .levelize import index_netlist
 
-    def _check_combinational_loops(self) -> None:
-        # DFF outputs and primary inputs break cycles; only combinational
-        # gates participate.  Iterative DFS with explicit stack (circuits can
-        # be tens of thousands of gates deep in pathological cases).
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: Dict[str, int] = {}
-        for root, root_gate in self.gates.items():
-            if not root_gate.gtype.is_combinational or color.get(root, WHITE) != WHITE:
-                continue
-            stack: List[Tuple[str, int]] = [(root, 0)]
-            color[root] = GRAY
-            while stack:
-                net, idx = stack[-1]
-                fanins = self.gates[net].fanins
-                if idx == len(fanins):
-                    color[net] = BLACK
-                    stack.pop()
-                    continue
-                stack[-1] = (net, idx + 1)
-                child = fanins[idx]
-                child_gate = self.gates[child]
-                if not child_gate.gtype.is_combinational:
-                    continue
-                state = color.get(child, WHITE)
-                if state == GRAY:
-                    raise NetlistError(f"combinational loop through net {child!r}")
-                if state == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, 0))
+        index_netlist(self)
 
     # -- misc ---------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from ..core.partitions import Partition
 from ..core.superposition import superposition_prune_population
 from ..core.two_step import make_partitioner
 from ..sim.faultsim import FaultResponse
-from ..soc.core_wrapper import EmbeddedCore
+from ..soc.core_wrapper import EmbeddedCore, hash_name
 from ..soc.testrail import TestRail
 from ..telemetry import METRICS, debug, span
 from . import cache
@@ -236,13 +236,6 @@ def evaluate_scheme(
         with span("dr.score", scheme=scheme, workload=workload.name, pruned=True):
             dr_pruned = diagnostic_resolution(pruned_results)
     return SchemeEvaluation(scheme, dr, dr_pruned, results, pruned_results)
-
-
-def hash_name(name: str) -> int:
-    value = 0
-    for ch in name:
-        value = (value * 131 + ord(ch)) & 0x7FFFFFFF
-    return value
 
 
 def _get_circuit(name: str, config: ExperimentConfig):

@@ -14,7 +14,14 @@ from .bitops import (
 )
 from .error_injection import inject_clustered_errors, inject_random_errors
 from .coverage import CoverageReport, FaultProfile, coverage_report, profile_fault
-from .faults import Fault, collapse_faults, full_fault_list, sample_faults
+from .faults import (
+    Fault,
+    FaultUniverse,
+    collapse_faults,
+    fault_universe,
+    full_fault_list,
+    sample_faults,
+)
 from .faultsim import FaultResponse, FaultSimulator, merge_responses
 from .logicsim import CompiledCircuit, SimResult
 
@@ -23,6 +30,7 @@ __all__ = [
     "Fault",
     "FaultResponse",
     "FaultSimulator",
+    "FaultUniverse",
     "CoverageReport",
     "FaultProfile",
     "coverage_report",
@@ -33,6 +41,7 @@ __all__ = [
     "WORD_BITS",
     "any_bit",
     "collapse_faults",
+    "fault_universe",
     "full_fault_list",
     "get_bit",
     "merge_responses",

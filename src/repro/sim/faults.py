@@ -11,15 +11,20 @@ gate-local equivalence rules:
   net fault.
 
 ``XOR``/``XNOR`` inputs do not collapse.
+
+:func:`fault_universe` applies these rules with numpy over a
+:class:`~repro.circuit.levelize.NetlistIndex` and keeps the result as index
+arrays (:class:`FaultUniverse`); :func:`collapse_faults` is its list form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..circuit.levelize import GATE_TYPES, NetlistIndex, index_netlist
 from ..circuit.netlist import GateType, Netlist
 
 
@@ -67,49 +72,126 @@ def full_fault_list(netlist: Netlist) -> List[Fault]:
     return faults
 
 
-def collapse_faults(netlist: Netlist) -> List[Fault]:
-    """Equivalence-collapsed fault list.
+_DFF = GATE_TYPES.index(GateType.DFF)
+#: Per gate-type code: True for BUF/NOT, whose input faults all equal
+#: output faults.
+_UNARY = np.array([g in (GateType.BUF, GateType.NOT) for g in GATE_TYPES])
+#: Per gate-type code: the controlling input value, -1 where none.
+_CONTROLLING = np.array(
+    [
+        0 if g in (GateType.AND, GateType.NAND)
+        else 1 if g in (GateType.OR, GateType.NOR)
+        else -1
+        for g in GATE_TYPES
+    ],
+    dtype=np.int8,
+)
+
+
+class FaultUniverse(Sequence[Fault]):
+    """The collapsed fault list as four parallel index arrays.
+
+    Read-only and ordered exactly like :func:`collapse_faults`; a
+    :class:`Fault` object is built only when an entry is read, so callers
+    that simulate a sample never materialize the rest.  Pin-less (net)
+    faults hold ``-1`` in ``pin_gate`` and ``pin_pos``.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        net: np.ndarray,
+        stuck_at: np.ndarray,
+        pin_gate: np.ndarray,
+        pin_pos: np.ndarray,
+    ):
+        self.names = names
+        self.net = net
+        self.stuck_at = stuck_at
+        self.pin_gate = pin_gate
+        self.pin_pos = pin_pos
+        for array in (net, stuck_at, pin_gate, pin_pos):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.net)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return self.take(item)
+        return self.take([item])[0]
+
+    def __iter__(self) -> Iterator[Fault]:
+        return iter(self.take(slice(None)))
+
+    def take(self, indices) -> List[Fault]:
+        """The faults at ``indices`` (any numpy index: ints, negative ints,
+        an index array or a slice), in that order."""
+        names = self.names
+        return [
+            _trusted_fault(names[net], sa, None if gate < 0 else (names[gate], pos))
+            for net, sa, gate, pos in zip(
+                self.net[indices].tolist(),
+                self.stuck_at[indices].tolist(),
+                self.pin_gate[indices].tolist(),
+                self.pin_pos[indices].tolist(),
+            )
+        ]
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _trusted_fault(net: str, stuck_at: int, pin: Optional[Tuple[str, int]]) -> Fault:
+    """``Fault(net, stuck_at, pin)`` without ``__post_init__``'s check, for
+    stuck-at values already known to be 0 or 1; it roughly halves the cost
+    of materializing a large universe as a list."""
+    fault = _new_object(Fault)
+    _set_field(fault, "net", net)
+    _set_field(fault, "stuck_at", stuck_at)
+    _set_field(fault, "pin", pin)
+    return fault
+
+
+def fault_universe(index: NetlistIndex) -> FaultUniverse:
+    """Equivalence-collapsed fault universe of an indexed netlist.
 
     Keeps one representative per equivalence class, preferring net faults
-    over pin faults (net faults simulate faster).
+    over pin faults (net faults simulate faster): both stuck-at values of
+    every non-DFF net in insertion order, then the surviving pin faults
+    gate by gate, pin by pin, stuck-at 0 before 1.
     """
-    fanout_counts: dict = {}
-    for gate in netlist.gates.values():
-        if not gate.gtype.is_combinational:
-            continue
-        for src in gate.fanins:
-            fanout_counts[src] = fanout_counts.get(src, 0) + 1
+    codes = index.codes
+    nets = np.flatnonzero(codes != _DFF)
+    n_net = 2 * len(nets)
 
-    kept: List[Fault] = []
-    for net, gate in netlist.gates.items():
-        if gate.gtype is GateType.DFF:
-            continue
-        # Net faults always kept as class representatives.
-        kept.append(Fault(net, 0))
-        kept.append(Fault(net, 1))
-    for net, gate in netlist.gates.items():
-        if not gate.gtype.is_combinational:
-            continue
-        controlling = _controlling_value(gate.gtype)
-        for pos, src in enumerate(gate.fanins):
-            single_branch = fanout_counts.get(src, 0) == 1
-            for sa in (0, 1):
-                if single_branch:
-                    continue  # pin fault == stem fault on a single-fanout net
-                if gate.gtype in (GateType.BUF, GateType.NOT):
-                    continue  # equivalent to the output fault
-                if controlling is not None and sa == controlling:
-                    continue  # controlling-value input fault == output fault
-                kept.append(Fault(src, sa, pin=(net, pos)))
-    return kept
+    counts = np.diff(index.fanin_ptr)
+    gate = np.repeat(np.arange(len(codes), dtype=np.int64), counts)
+    src = index.fanin_ids
+    pos = np.arange(len(src), dtype=np.int64) - index.fanin_ptr[gate]
+    fanout = np.diff(index.fanout_ptr)
+    # A pin fault survives unless the net has one fanout pin (pin == stem)
+    # or the gate is a buffer/inverter (pin == output); of the rest, the
+    # controlling-value fault equals an output fault.
+    branch = (fanout[src] != 1) & ~_UNARY[codes[gate]]
+    controlling = _CONTROLLING[codes[gate]]
+    keep = np.stack([branch & (controlling != 0), branch & (controlling != 1)], axis=1)
+    slot, stuck = np.nonzero(keep)
+
+    return FaultUniverse(
+        index.names,
+        net=np.concatenate([np.repeat(nets, 2), src[slot]]),
+        stuck_at=np.concatenate([np.tile(np.array([0, 1], np.int8), len(nets)),
+                                 stuck.astype(np.int8)]),
+        pin_gate=np.concatenate([np.full(n_net, -1, np.int64), gate[slot]]),
+        pin_pos=np.concatenate([np.full(n_net, -1, np.int64), pos[slot]]),
+    )
 
 
-def _controlling_value(gtype: GateType) -> Optional[int]:
-    if gtype in (GateType.AND, GateType.NAND):
-        return 0
-    if gtype in (GateType.OR, GateType.NOR):
-        return 1
-    return None
+def collapse_faults(netlist: Netlist) -> List[Fault]:
+    """Equivalence-collapsed fault list (see :func:`fault_universe`)."""
+    return list(fault_universe(index_netlist(netlist)))
 
 
 def sample_faults(

@@ -11,7 +11,6 @@ paper's diagnosis schemes consume.
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -66,29 +65,11 @@ class FaultSimulator:
         self.good = good
         self.num_patterns = good.num_patterns
         self._mask = pattern_mask(good.num_patterns)
-        self._fanout = self._build_fanout_index()
-        self._level = self._build_levels()
+        self._fanout = _fanout_rows(compiled)
         # Scan-cell positions observed by each D-input net.
         self._capture_cells: Dict[int, List[int]] = {}
         for cell_pos, row in enumerate(compiled.ff_capture_rows):
             self._capture_cells.setdefault(int(row), []).append(cell_pos)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _build_fanout_index(self) -> Dict[int, List[int]]:
-        fanout: Dict[int, List[int]] = {}
-        netlist = self.compiled.netlist
-        for net, gate in netlist.gates.items():
-            if not gate.gtype.is_combinational:
-                continue
-            out_idx = self.compiled.net_index[net]
-            for src in gate.fanins:
-                fanout.setdefault(self.compiled.net_index[src], []).append(out_idx)
-        return fanout
-
-    def _build_levels(self) -> np.ndarray:
-        # Topological position doubles as an evaluation priority.
-        return np.arange(self.compiled.num_nets, dtype=np.int64)
 
     # -- simulation -----------------------------------------------------------
 
@@ -250,3 +231,17 @@ def _insort(schedule: List[int], value: int, lo: int) -> None:
     """Insert ``value`` into the sorted tail ``schedule[lo:]``."""
     idx = bisect.bisect_left(schedule, value, lo=lo)
     schedule.insert(idx, value)
+
+
+def _fanout_rows(compiled: CompiledCircuit) -> Dict[int, List[int]]:
+    """Value-plane row -> rows of the combinational gates it feeds (one
+    entry per pin), for every row that feeds at least one gate."""
+    index = compiled.index
+    rank = index.rank.tolist()
+    ptr = index.fanout_ptr.tolist()
+    succ_rows = index.rank[index.fanout_ids].tolist()
+    return {
+        rank[gid]: succ_rows[ptr[gid]:ptr[gid + 1]]
+        for gid in range(index.num_gates)
+        if ptr[gid] != ptr[gid + 1]
+    }

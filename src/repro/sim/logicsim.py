@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit.levelize import topological_order
+from ..circuit.levelize import GATE_TYPES, index_netlist
 from ..circuit.netlist import GateType, Netlist
 from ..telemetry import METRICS
 from .bitops import num_words, pattern_mask
@@ -66,11 +66,17 @@ class CompiledCircuit:
     """A netlist compiled to flat arrays for fast repeated simulation."""
 
     def __init__(self, netlist: Netlist):
-        netlist.validate()
+        # One structural pass validates, orders and levels the netlist;
+        # value-plane rows are positions in its topological order.
+        index = index_netlist(netlist)
         self.netlist = netlist
-        topo = topological_order(netlist)
+        self.index = index
+        order = index.order.tolist()
+        names = index.names
+        topo = [names[gid] for gid in order]
+        rows = list(range(len(topo)))
         self.net_order: List[str] = topo
-        self.net_index: Dict[str, int] = {net: i for i, net in enumerate(topo)}
+        self.net_index: Dict[str, int] = dict(zip(topo, rows))
 
         # Scan order: DFF insertion order in the netlist (the generator and
         # the .bench files list flip-flops in their structural order).
@@ -89,15 +95,20 @@ class CompiledCircuit:
             [self.net_index[n] for n in netlist.outputs], dtype=np.int64
         )
 
-        # Compile combinational gates in topological order.
+        # Compile combinational gates in topological order.  Row ints come
+        # from ``rows`` so the ops share one int object per row.
+        ptr = index.fanin_ptr.tolist()
+        fanin_rows = [rows[r] for r in index.rank[index.fanin_ids].tolist()]
+        base_op = [_BASE_OP.get(gtype) for gtype in GATE_TYPES]
+        codes = index.codes.tolist()
         ops: List[Tuple[int, int, bool, Tuple[int, ...]]] = []
-        for net in topo:
-            gate = netlist.gates[net]
-            if not gate.gtype.is_combinational:
-                continue
-            op, invert = _BASE_OP[gate.gtype]
-            fanin_idx = tuple(self.net_index[f] for f in gate.fanins)
-            ops.append((self.net_index[net], op, invert, fanin_idx))
+        for row, gid in enumerate(order):
+            entry = base_op[codes[gid]]
+            if entry is None:
+                continue  # INPUT / DFF: a source of the combinational view
+            op, invert = entry
+            fanins = tuple(fanin_rows[ptr[gid]:ptr[gid + 1]])
+            ops.append((rows[row], op, invert, fanins))
         self._ops = ops
         self._ops_by_net: Dict[int, Tuple[int, int, bool, Tuple[int, ...]]] = {
             entry[0]: entry for entry in ops

@@ -10,16 +10,18 @@ the meta chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..bist.patterns import fast_pattern_matrices
 from ..circuit.netlist import Netlist
-from ..sim.faults import Fault, collapse_faults, sample_faults
+# ``collapse_faults`` (the list form) stays importable from here; cores
+# sample from the lazy ``fault_universe`` instead.
+from ..sim.faults import FaultUniverse, collapse_faults, fault_universe  # noqa: F401
 from ..sim.faultsim import FaultResponse, FaultSimulator
 from ..sim.logicsim import CompiledCircuit
+from ..telemetry import span
 
 #: Smallest fault slab worth handing to ``simulate_faults`` while sampling
 #: for detected faults — keeps the batched kernel fed near the tail.
@@ -50,11 +52,11 @@ class EmbeddedCore:
             self.compiled.num_inputs,
             self.compiled.num_scan_cells,
             num_patterns,
-            seed=pattern_seed ^ _name_seed(netlist.name),
+            seed=pattern_seed ^ hash_name(netlist.name),
         )
         self._good = self.compiled.simulate(pi_values, ff_values, num_patterns)
         self._fault_simulator = FaultSimulator(self.compiled, self._good)
-        self._collapsed: Optional[List[Fault]] = None
+        self._collapsed: Optional[FaultUniverse] = None
 
     @property
     def num_cells(self) -> int:
@@ -64,9 +66,12 @@ class EmbeddedCore:
     def fault_simulator(self) -> FaultSimulator:
         return self._fault_simulator
 
-    def collapsed_faults(self) -> List[Fault]:
+    def collapsed_faults(self) -> FaultUniverse:
+        """The core's collapsed fault universe (built once, from the
+        compiled circuit's structural index)."""
         if self._collapsed is None:
-            self._collapsed = collapse_faults(self.netlist)
+            with span("fault.universe", circuit=self.name):
+                self._collapsed = fault_universe(self.compiled.index)
         return self._collapsed
 
     def sample_fault_responses(
@@ -81,11 +86,14 @@ class EmbeddedCore:
         list is exhausted — mirroring the paper's "inject 500 single
         stuck-at faults" protocol, where undetected faults contribute
         nothing to DR."""
-        universe = list(self.collapsed_faults())
-        rng.shuffle(universe)
+        universe = self.collapsed_faults()
+        # ``permutation(n)`` draws exactly the swaps ``shuffle`` makes on
+        # a length-n list, so this is the shuffled collapsed list's order
+        # without building a Fault for every entry.
+        order = rng.permutation(len(universe))
         responses: List[FaultResponse] = []
         pos = 0
-        while pos < len(universe) and len(responses) < count:
+        while pos < len(order) and len(responses) < count:
             # Simulate a slab at a time so the fault-batched kernel (and
             # the worker pool) serve the sampling loop; selection still
             # follows shuffle order exactly, so the chosen responses are
@@ -93,7 +101,7 @@ class EmbeddedCore:
             # simulate a few faults past ``count`` — undetected faults
             # make that unavoidable anyway.
             need = count - len(responses)
-            slab = universe[pos:pos + max(need, _SAMPLE_SLAB_MIN)]
+            slab = universe.take(order[pos:pos + max(need, _SAMPLE_SLAB_MIN)])
             pos += len(slab)
             for response in self._fault_simulator.simulate_faults(slab):
                 if detected_only and not response.detected:
@@ -104,7 +112,9 @@ class EmbeddedCore:
         return responses
 
 
-def _name_seed(name: str) -> int:
+def hash_name(name: str) -> int:
+    """A stable 31-bit hash of a circuit or core name, used to derive
+    per-circuit seeds (patterns here, fault samples in the runners)."""
     value = 0
     for ch in name:
         value = (value * 131 + ord(ch)) & 0x7FFFFFFF
