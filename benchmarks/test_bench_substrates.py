@@ -38,7 +38,7 @@ def test_fault_simulation_throughput(benchmark):
     sample = [faults[i] for i in rng.choice(len(faults), 50, replace=False)]
 
     def run():
-        return sum(1 for f in sample if sim.simulate_fault(f).detected)
+        return sum(1 for r in sim.simulate_faults(sample) if r.detected)
 
     detected = benchmark.pedantic(run, rounds=1, iterations=1)
     assert 0 < detected <= 50

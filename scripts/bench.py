@@ -12,17 +12,15 @@ Stages, per benchmark circuit:
   but the persistent disk tier (``REPRO_DISK_CACHE``) populated.
 * ``good_sim_soa_s`` vs ``good_sim_pergate_s`` — one full good-machine
   simulation through the level-group SoA kernel (PR 6) against the
-  per-gate loop; ``soa_speedup`` is the ratio and the two value planes
-  must match bit-for-bit (asserted).
-* ``fault_sim_event_s`` — event-driven fault simulation
-  (``REPRO_FAULT_BATCH=0``), the PR 1-3 kernel.
-* ``fault_sim_batch_s`` — the fault-batched cone kernel (PR 4), which by
-  default evaluates cones through the SoA schedule;
-  ``fault_sim_batch_pergate_s`` times the same batches with
-  ``REPRO_SOA=0`` and ``fault_soa_speedup`` is their ratio.
-  ``fault_batch_speedup`` is the event/batch ratio; ``fault_sim_s``
-  keeps tracking the *default* path so the trajectory key stays
-  comparable across PRs.
+  per-gate oracle loop in ``tests/reference/logicsim.py``;
+  ``soa_speedup`` is the ratio and the two value planes must match
+  bit-for-bit (asserted).
+* ``fault_sim_event_s`` — the event-driven single-fault oracle loop in
+  ``tests/reference/faultsim.py``.
+* ``fault_sim_batch_s`` — ``simulate_faults``, the fault-batched SoA cone
+  kernel and the only production path.  ``fault_batch_speedup`` is the
+  event/batch ratio; ``fault_sim_s`` repeats ``fault_sim_batch_s`` so
+  the trajectory key stays comparable across PRs.
 * ``transport_bytes_packed`` vs ``transport_bytes_legacy_pickle`` — bytes
   the fork pool ships per fault-sim pass with the packed codec, against
   what pickling the same responses the pre-PR 4 way would have cost.
@@ -104,7 +102,10 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# The speedup numerators time the reference oracles kept with the tests.
+sys.path.insert(0, str(ROOT))
 
 import numpy as np
 
@@ -124,6 +125,8 @@ from repro.sim.bitops import WORD_BITS
 from repro.sim.faultsim import FaultSimulator
 from repro.soc.core_wrapper import EmbeddedCore, hash_name
 from repro.telemetry import METRICS, SamplingProfiler, log
+from tests.reference.faultsim import simulate_fault
+from tests.reference.logicsim import simulate_pergate
 
 NUM_GROUPS = 4
 PR_NUMBER = 10
@@ -223,7 +226,7 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     sim = FaultSimulator(core.compiled, core._good)
 
     # Good-machine simulation: the level-group SoA kernel vs the per-gate
-    # loop, same pattern matrices the core simulated at construction.
+    # oracle, same pattern matrices the core simulated at construction.
     # The schedule builds (or loads) before the timed region — it is a
     # once-per-circuit cost the cache tiers absorb in real runs.
     compiled = core.compiled
@@ -234,11 +237,11 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     compiled.soa_schedule()
     soa_s, soa_result = best_of(
         max(repeats, 3),
-        lambda: compiled.simulate(pi, ff, config.num_patterns, soa=True),
+        lambda: compiled.simulate(pi, ff, config.num_patterns),
     )
     pergate_s, pergate_result = best_of(
         max(repeats, 3),
-        lambda: compiled.simulate(pi, ff, config.num_patterns, soa=False),
+        lambda: simulate_pergate(compiled, pi, ff, config.num_patterns),
     )
     assert np.array_equal(soa_result.values, pergate_result.values), (
         f"SoA kernel drift on {name}: good-machine values differ"
@@ -248,11 +251,9 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     timings["soa_speedup"] = pergate_s / soa_s if soa_s else None
 
     # Event-driven oracle vs the fault-batched cone kernel, both serial so
-    # the ratio isolates the kernel (not the pool).  ``fault_sim_s`` keeps
-    # naming the *default* path so the cross-PR trajectory key stays
-    # meaningful.
+    # the ratio isolates the kernel (not the pool).
     event_s, event_responses = best_of(
-        repeats, lambda: sim.simulate_faults(sample, workers=0, batch=0)
+        repeats, lambda: [simulate_fault(sim, f) for f in sample]
     )
     batch_s, batch_responses = best_of(
         repeats, lambda: sim.simulate_faults(sample, workers=0)
@@ -265,25 +266,8 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
             assert np.array_equal(vec, b.cell_errors[cell]), (
                 f"batched kernel drift on {name}: {a.fault} cell {cell}"
             )
-    # The same batches with the SoA cone kernel switched off isolates the
-    # gate-axis win inside the batched path.
-    saved_soa = os.environ.get("REPRO_SOA")
-    os.environ["REPRO_SOA"] = "0"
-    try:
-        batch_pergate_s, _ = best_of(
-            repeats, lambda: sim.simulate_faults(sample, workers=0)
-        )
-    finally:
-        if saved_soa is None:
-            os.environ.pop("REPRO_SOA", None)
-        else:
-            os.environ["REPRO_SOA"] = saved_soa
     timings["fault_sim_event_s"] = event_s
     timings["fault_sim_batch_s"] = batch_s
-    timings["fault_sim_batch_pergate_s"] = batch_pergate_s
-    timings["fault_soa_speedup"] = (
-        batch_pergate_s / batch_s if batch_s else None
-    )
     timings["fault_sim_s"] = batch_s
     timings["fault_batch_speedup"] = event_s / batch_s if batch_s else None
     timings["num_faults_simulated"] = len(sample)

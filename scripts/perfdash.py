@@ -54,7 +54,6 @@ SPEEDUP_SUFFIX = "_speedup"
 TRACKED_SPEEDUPS = (
     "fault_batch_speedup",
     "soa_speedup",
-    "fault_soa_speedup",
     "diagnose_speedup",
     "end_to_end_speedup",
 )

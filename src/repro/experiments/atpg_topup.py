@@ -91,11 +91,11 @@ def run_atpg_topup(
         sample = core.collapsed_faults().take(order[: config.faults_for(name) * 2])
         detected = 0
         missed_faults = []
-        for fault in sample:
-            if core.fault_simulator.simulate_fault(fault).detected:
+        for response in core.fault_simulator.simulate_faults(sample):
+            if response.detected:
                 detected += 1
             else:
-                missed_faults.append(fault)
+                missed_faults.append(response.fault)
         missed_subset = missed_faults[:max_missed]
         _cubes, stats = atpg_campaign(
             core.netlist, missed_subset, backtrack_limit=backtrack_limit

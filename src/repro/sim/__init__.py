@@ -1,5 +1,5 @@
 """Simulation substrate: packed-word bit-parallel logic simulation and
-event-driven single-stuck-at fault simulation."""
+fault-batched single-stuck-at fault simulation."""
 
 from .bitops import (
     WORD_BITS,

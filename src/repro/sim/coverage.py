@@ -122,7 +122,7 @@ def coverage_report(
         faults = [faults[i] for i in sorted(idx)]
     faults = list(faults)
     profiles = [
-        profile_fault(simulator.simulate_fault(fault)) for fault in faults
+        profile_fault(response) for response in simulator.simulate_faults(faults)
     ]
     return CoverageReport(
         circuit_name=circuit_name or simulator.compiled.netlist.name,

@@ -1,8 +1,9 @@
-"""Event-driven, cone-restricted stuck-at fault simulation.
+"""Cone-restricted stuck-at fault simulation.
 
 For each fault, only the gates inside the static fanout cone of the fault
-site are re-evaluated (in topological order), against the cached fault-free
-values of everything outside the cone.  The output is the **error matrix**:
+site are re-evaluated, against the cached fault-free values of everything
+outside the cone; faults run in batches through the level-group kernel
+of :mod:`repro.sim.faultsim_batch`.  The output is the **error matrix**:
 for every scan cell, a packed word vector with bit ``p`` set iff the cell
 captures a wrong value under pattern ``p`` — exactly the information the
 paper's diagnosis schemes consume.
@@ -10,17 +11,16 @@ paper's diagnosis schemes consume.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..parallel import parallel_map
 from ..telemetry import METRICS, span
 from .bitops import any_bit, num_words, pattern_mask, popcount
 from .faults import Fault
-from .logicsim import CompiledCircuit, SimResult, _combine
+from .faultsim_batch import simulate_faults_batched
+from .logicsim import CompiledCircuit, SimResult
 
 
 @dataclass
@@ -71,81 +71,6 @@ class FaultSimulator:
         for cell_pos, row in enumerate(compiled.ff_capture_rows):
             self._capture_cells.setdefault(int(row), []).append(cell_pos)
 
-    # -- simulation -----------------------------------------------------------
-
-    def simulate_fault(self, fault: Fault) -> FaultResponse:
-        """Compute the error matrix of one fault over all patterns."""
-        compiled = self.compiled
-        good_values = self.good.values
-        mask = self._mask
-        words = good_values.shape[1]
-
-        site_idx = compiled.net_index[fault.site]
-        faulty: Dict[int, np.ndarray] = {}
-
-        stuck_vec = mask.copy() if fault.stuck_at == 1 else np.zeros(words, np.uint64)
-        if fault.pin is None:
-            # Stem fault: the net itself takes the stuck value everywhere.
-            net_idx = compiled.net_index[fault.net]
-            if not any_bit(good_values[net_idx] ^ stuck_vec):
-                return self._response(fault, {})
-            faulty[net_idx] = stuck_vec
-            frontier = [net_idx]
-        else:
-            # Branch fault: only the one gate sees the stuck value.
-            gate_out, fanin_pos = fault.pin
-            gate_idx = compiled.net_index[gate_out]
-            new_val = compiled.evaluate_net_with_forced_fanin(
-                good_values, gate_idx, fanin_pos, stuck_vec, mask
-            )
-            if not any_bit(new_val ^ good_values[gate_idx]):
-                return self._response(fault, {})
-            faulty[gate_idx] = new_val
-            frontier = [gate_idx]
-
-        # Event-driven propagation in topological order.  A simple sorted
-        # frontier (by compiled net index, which is topological) guarantees
-        # each gate is evaluated after all of its changed fanins.
-        pending: Set[int] = set()
-        for start in frontier:
-            for succ in self._fanout.get(start, ()):  # noqa: B023
-                pending.add(succ)
-        schedule = sorted(pending)
-        pos = 0
-        scheduled = set(schedule)
-        while pos < len(schedule):
-            net_idx = schedule[pos]
-            pos += 1
-            scheduled.discard(net_idx)
-            new_val = self._eval_with_overrides(net_idx, faulty)
-            old_val = faulty.get(net_idx, good_values[net_idx])
-            if not any_bit(new_val ^ old_val):
-                continue
-            if any_bit(new_val ^ good_values[net_idx]):
-                faulty[net_idx] = new_val
-            else:
-                faulty.pop(net_idx, None)
-            for succ in self._fanout.get(net_idx, ()):
-                if succ not in scheduled:
-                    # Insert keeping the schedule sorted: succ > net_idx is
-                    # guaranteed by topological indexing, so appending then
-                    # re-sorting the tail keeps correctness; binary insert.
-                    _insort(schedule, succ, pos)
-                    scheduled.add(succ)
-
-        # Collect captured errors at scan cells.
-        cell_errors: Dict[int, np.ndarray] = {}
-        for net_idx, val in faulty.items():
-            cells = self._capture_cells.get(net_idx)
-            if not cells:
-                continue
-            diff = (val ^ good_values[net_idx]) & mask
-            if not any_bit(diff):
-                continue
-            for cell_pos in cells:
-                cell_errors[cell_pos] = diff.copy()
-        return self._response(fault, cell_errors)
-
     def _response(self, fault: Fault, cell_errors: Dict[int, np.ndarray]) -> FaultResponse:
         METRICS.incr("faultsim.faults")
         if cell_errors:
@@ -153,51 +78,22 @@ class FaultSimulator:
             METRICS.incr("faultsim.error_cells", len(cell_errors))
         return FaultResponse(fault, cell_errors, self.num_patterns)
 
-    def _eval_with_overrides(
-        self, net_idx: int, overrides: Dict[int, np.ndarray]
-    ) -> np.ndarray:
-        _out, op, invert, fanins = self.compiled.gate_op(net_idx)
-        if not any(src in overrides for src in fanins):
-            return self.good.values[net_idx]
-        operands = [overrides.get(src, self.good.values[src]) for src in fanins]
-        return _combine(operands, op, invert, self._mask)
-
     def simulate_faults(
-        self,
-        faults: Sequence[Fault],
-        workers: Optional[int] = None,
-        batch: Optional[int] = None,
+        self, faults: Sequence[Fault], workers: Optional[int] = None
     ) -> List[FaultResponse]:
         """Error matrices for a fault population, in input order.
 
-        Faults are independent, so ``workers > 1`` fans the population out
+        The population runs through the fault-batched SoA cone kernel
+        (:mod:`repro.sim.faultsim_batch`), ``DEFAULT_BATCH`` faults per
+        batch.  Batches are independent, so ``workers > 1`` fans them out
         over a fork-based process pool (``workers=None`` reads
-        ``REPRO_WORKERS``, default serial; small populations and platforms
-        without fork always run serially).  By default the population runs
-        through the fault-batched cone kernel
-        (:mod:`repro.sim.faultsim_batch`; ``batch=None`` reads
-        ``REPRO_FAULT_BATCH``, 0 falls back to the per-fault event-driven
-        loop), which itself evaluates cones with the level-group SoA
-        schedule unless ``REPRO_SOA=0``.  Results are bit-identical to
-        the serial event-driven loop whichever kernels are selected.
+        ``REPRO_WORKERS``, default serial; small populations and
+        platforms without fork always run serially).  Results are
+        bit-identical whatever the worker count.
         """
-        from .faultsim_batch import resolve_batch_size, simulate_faults_batched
-        from .transport import RESPONSE_CODEC
-
         faults = list(faults)
-        batch_size = resolve_batch_size(batch)
         with span("fault.sim", faults=len(faults)) as sp:
-            if batch_size and len(faults) > 1:
-                responses = simulate_faults_batched(
-                    self, faults, batch_size, workers
-                )
-            else:
-                responses = parallel_map(
-                    lambda i: self.simulate_fault(faults[i]),
-                    len(faults),
-                    workers,
-                    codec=RESPONSE_CODEC,
-                )
+            responses = simulate_faults_batched(self, faults, workers=workers)
             sp.add("faults", len(faults))
             sp.add("detected", sum(1 for r in responses if r.detected))
         return responses
@@ -225,12 +121,6 @@ def merge_responses(responses: Sequence[FaultResponse]) -> FaultResponse:
                 merged[cell] = vec.copy()
     merged = {cell: vec for cell, vec in merged.items() if any_bit(vec)}
     return FaultResponse(responses[0].fault, merged, num_patterns)
-
-
-def _insort(schedule: List[int], value: int, lo: int) -> None:
-    """Insert ``value`` into the sorted tail ``schedule[lo:]``."""
-    idx = bisect.bisect_left(schedule, value, lo=lo)
-    schedule.insert(idx, value)
 
 
 def _fanout_rows(compiled: CompiledCircuit) -> Dict[int, List[int]]:

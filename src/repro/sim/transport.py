@@ -195,7 +195,7 @@ def _untrack(name: str) -> None:
 
 
 #: The codec :func:`repro.parallel.parallel_map` uses for fault-response
-#: populations (both the event-driven and the batched kernels).
+#: populations (one packed chunk per fault batch).
 RESPONSE_CODEC = Codec(
     encode=pack_response_chunk,
     decode=unpack_response_chunk,

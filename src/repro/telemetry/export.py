@@ -41,8 +41,6 @@ ENV_KNOBS = (
     "REPRO_FAULTS",
     "REPRO_FAULTS_LARGE",
     "REPRO_SCALE",
-    "REPRO_SOA",
-    "REPRO_FAULT_BATCH",
     "REPRO_DIAGNOSIS_BATCH",
     "REPRO_SHM",
     "REPRO_SERVE_PORT",
@@ -232,21 +230,21 @@ def config_hash(config: Any) -> Optional[str]:
 def kernel_selection() -> Dict[str, Any]:
     """Which hot-path kernels the current environment selects.
 
-    Resolved through the same functions the simulators use, so the
-    manifest records what actually ran, not a copy of the env strings.
-    The import is deferred: the sim stack imports telemetry at module
-    load.
+    Simulation has one kernel per layer, recorded as constants so older
+    manifests and their readers keep the same fields.  The diagnosis
+    choice resolves through the function the diagnosis layer uses, so
+    the manifest records what actually ran, not a copy of the env
+    string; the import is deferred because the core stack imports
+    telemetry at module load.
     """
     from ..core.diagnosis_batch import resolve_diagnosis_chunk
-    from ..sim.faultsim_batch import resolve_batch_size
-    from ..sim.soa import soa_enabled
+    from ..sim.faultsim_batch import DEFAULT_BATCH
 
-    batch = resolve_batch_size()
     diagnosis_chunk = resolve_diagnosis_chunk()
     return {
-        "gate_eval": "soa" if soa_enabled() else "per-gate",
-        "fault_sim": "batched" if batch else "event-driven",
-        "fault_batch": batch,
+        "gate_eval": "soa",
+        "fault_sim": "batched",
+        "fault_batch": DEFAULT_BATCH,
         "diagnosis": "fused" if diagnosis_chunk else "per-fault",
         "diagnosis_chunk": diagnosis_chunk,
     }

@@ -26,7 +26,7 @@ def verify_cube(netlist, cube, fault, rng=None):
     )
     good = compiled.simulate(pi_mat, ff_mat, 1)
     sim = FaultSimulator(compiled, good)
-    response = sim.simulate_fault(fault)
+    (response,) = sim.simulate_faults([fault])
     if response.detected:
         return True
     # The fault may only be observable at a primary output: re-simulate the
@@ -139,7 +139,7 @@ class TestGeneratedCircuit:
         good = compiled.simulate(pi, ff, 8)
         sim = FaultSimulator(compiled, good)
         faults = collapse_faults(small_netlist)
-        missed = [f for f in faults if not sim.simulate_fault(f).detected][:10]
+        missed = [r.fault for r in sim.simulate_faults(faults) if not r.detected][:10]
         assert missed, "expected some random-pattern misses"
         cubes, stats = atpg_campaign(small_netlist, missed, backtrack_limit=300)
         # Some of the missed faults are genuinely testable and PODEM finds

@@ -29,7 +29,7 @@ def fault_setup(small_compiled, small_good):
     rng = np.random.default_rng(11)
     picks = rng.choice(len(faults), size=30, replace=False)
     responses = [
-        r for r in (sim.simulate_fault(faults[i]) for i in picks) if r.detected
+        r for r in sim.simulate_faults([faults[i] for i in picks]) if r.detected
     ][:8]
     assert responses, "need detected faults"
     captured = good_captured_matrix(small_good)

@@ -33,11 +33,8 @@ def responses_for(source, compiled, num_faults=30):
     faults = collapse_faults(compiled.netlist)
     rng = np.random.default_rng(7)
     picks = rng.choice(len(faults), size=num_faults, replace=False)
-    return [
-        r
-        for r in (sim.simulate_fault(faults[i]) for i in sorted(picks))
-        if r.detected
-    ]
+    responses = sim.simulate_faults([faults[i] for i in sorted(picks)])
+    return [r for r in responses if r.detected]
 
 
 @pytest.fixture(scope="module")

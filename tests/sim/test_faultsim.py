@@ -1,5 +1,7 @@
-"""Tests for event-driven fault simulation, validated against a brute-force
-reference that re-evaluates the whole circuit with the fault forced."""
+"""Tests for fault simulation, validated against a brute-force reference
+that re-evaluates the whole circuit with the fault forced.  The brute
+force checks both the production kernel and the event-driven oracle in
+``tests/reference/faultsim.py``."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.sim.bitops import pack_bits, unpack_bits
 from repro.sim.faults import Fault, collapse_faults
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import CompiledCircuit
+from tests.reference import faultsim as reference
 
 
 def faulty_reference(netlist, assignment, fault):
@@ -38,6 +41,12 @@ def faulty_reference(netlist, assignment, fault):
         return out
 
     return value
+
+
+def simulate_one(sim, fault):
+    """A one-fault population through the production kernel."""
+    (response,) = sim.simulate_faults([fault])
+    return response
 
 
 def _eval(gtype, ins):
@@ -89,7 +98,7 @@ class TestHandBuilt:
     def test_stem_fault_detected_where_expected(self):
         # A=1, F0=1 makes N1=1; N1/sa0 flips N1, changing D0 and D1.
         sim, n = self.run_patterns([[1], [0]], [[1], [0]])
-        response = sim.simulate_fault(Fault("N1", 0))
+        response = simulate_one(sim, Fault("N1", 0))
         assert response.detected
         # good: N1=1, N2=1, N3=0, D0=1^0=1, D1=not(1 and 0)=1
         # faulty: N1=0, N2=1 (B=0? N2=OR(0,0)=0!), N3=1, D0=0^0=0, D1=1
@@ -100,7 +109,7 @@ class TestHandBuilt:
     def test_undetectable_when_stuck_equals_value(self):
         sim, n = self.run_patterns([[1], [0]], [[1], [0]])
         # N1 is already 1 under this pattern: sa1 produces no error.
-        response = sim.simulate_fault(Fault("N1", 1))
+        response = simulate_one(sim, Fault("N1", 1))
         assert not response.detected
 
     def test_pin_fault_differs_from_stem_fault(self):
@@ -109,8 +118,8 @@ class TestHandBuilt:
         # Pin fault on N2's input from N1: N1 itself stays 1, so
         # D1 = NAND(N1=1, N3=1) = 0 flips too -> cells 0 and 1 fail.
         sim, n = self.run_patterns([[1], [0]], [[1], [0]])
-        stem = sim.simulate_fault(Fault("N1", 0))
-        pin = sim.simulate_fault(Fault("N1", 0, pin=("N2", 0)))
+        stem = simulate_one(sim, Fault("N1", 0))
+        pin = simulate_one(sim, Fault("N1", 0, pin=("N2", 0)))
         assert stem.failing_cells == [0]
         assert pin.failing_cells == [0, 1]
 
@@ -133,9 +142,10 @@ class TestAgainstBruteForce:
 
         faults = collapse_faults(netlist)
         picks = rng.choice(len(faults), size=min(25, len(faults)), replace=False)
-        for f_idx in picks:
-            fault = faults[f_idx]
-            response = sim.simulate_fault(fault)
+        sample = [faults[i] for i in picks]
+        production = sim.simulate_faults(sample)
+        oracle = [reference.simulate_fault(sim, fault) for fault in sample]
+        for fault, response, ref_response in zip(sample, production, oracle):
             for p in range(num_patterns):
                 assignment = {
                     net: int(bits_pi[i][p])
@@ -150,21 +160,18 @@ class TestAgainstBruteForce:
                                            num_patterns)[p]
                     fault_bit = ref(d_net)
                     expect_error = good_bit != fault_bit
-                    got_error = bool(
-                        unpack_bits(response.errors_at(cell), num_patterns)[p]
-                    )
-                    assert got_error == expect_error, (str(fault), cell, p)
+                    for got in (response, ref_response):
+                        got_error = bool(
+                            unpack_bits(got.errors_at(cell), num_patterns)[p]
+                        )
+                        assert got_error == expect_error, (str(fault), cell, p)
 
 
 class TestFaultResponse:
     def test_error_count_and_errors_at(self, small_compiled, small_good, rng):
         sim = FaultSimulator(small_compiled, small_good)
         faults = collapse_faults(small_compiled.netlist)
-        response = next(
-            r
-            for r in (sim.simulate_fault(f) for f in faults)
-            if r.detected
-        )
+        response = next(r for r in sim.simulate_faults(faults) if r.detected)
         assert response.error_count() > 0
         total = sum(
             sum(unpack_bits(response.errors_at(c), response.num_patterns))
@@ -180,7 +187,7 @@ class TestFaultResponse:
 
 class TestInsort:
     def test_inserts_keeping_sorted_tail(self):
-        from repro.sim.faultsim import _insort
+        from tests.reference.faultsim import _insort
 
         schedule = [1, 3, 5, 9]
         _insort(schedule, 4, 0)
@@ -189,7 +196,7 @@ class TestInsort:
         assert schedule == [1, 3, 4, 5, 7, 9]
 
     def test_respects_lo_bound(self):
-        from repro.sim.faultsim import _insort
+        from tests.reference.faultsim import _insort
 
         # The visited prefix may be unsorted; only the tail from ``lo``
         # participates in the binary search.
@@ -200,7 +207,7 @@ class TestInsort:
     def test_random_sequences_stay_sorted(self):
         import random
 
-        from repro.sim.faultsim import _insort
+        from tests.reference.faultsim import _insort
 
         rand = random.Random(7)
         for _ in range(50):
@@ -214,7 +221,7 @@ class TestInsort:
         # The hot loop must not pay a per-call ``import bisect``.
         import inspect
 
-        import repro.sim.faultsim as faultsim
+        import tests.reference.faultsim as faultsim
 
         assert hasattr(faultsim, "bisect")
         assert "import bisect" not in inspect.getsource(faultsim._insort)

@@ -1,24 +1,40 @@
 """Equivalence tests: fault-batched cone kernel vs the event-driven oracle.
 
-The batched kernel must produce bit-identical error matrices to
-``FaultSimulator.simulate_fault`` for randomized fault populations, on
-multiple ISCAS circuits, serially and through the fork pool.
+The batched kernel must produce bit-identical error matrices to the
+event-driven single-fault loop (``tests/reference/faultsim.py``) for
+randomized fault populations, on multiple ISCAS circuits, serially and
+through the fork pool — including the empty, one-fault and gate-free
+populations that only reach the kernel through ``simulate_faults``.
 """
 
 import numpy as np
 import pytest
 
+from repro.bist.patterns import fast_pattern_matrices
+from repro.circuit.bench import parse_bench
 from repro.circuit.library import get_circuit
 from repro.parallel import fork_available
 from repro.sim.faults import collapse_faults
+from repro.sim.faultsim import FaultSimulator
 from repro.sim.faultsim_batch import (
     DEFAULT_BATCH,
     plan_batches,
-    resolve_batch_size,
     simulate_batch,
     simulate_faults_batched,
 )
+from repro.sim.logicsim import CompiledCircuit
 from repro.soc.core_wrapper import EmbeddedCore
+from repro.telemetry import METRICS
+from tests.reference.faultsim import simulate_fault
+from tests.reference.logicsim import simulate_pergate
+
+#: PI -> DFF -> DFF: a scan path with no combinational gate at all.
+GATE_FREE_BENCH = """
+INPUT(A)
+OUTPUT(F1)
+F0 = DFF(A)
+F1 = DFF(F0)
+"""
 
 
 def assert_identical(event, batched):
@@ -37,51 +53,6 @@ def sampled_population(name, num_patterns, count, seed):
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(faults), size=min(count, len(faults)), replace=False)
     return core.fault_simulator, [faults[i] for i in idx]
-
-
-class TestResolveBatchSize:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_BATCH", raising=False)
-        assert resolve_batch_size() == DEFAULT_BATCH
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
-        assert resolve_batch_size() == 0
-
-    def test_explicit_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "17")
-        assert resolve_batch_size() == 17
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "17")
-        assert resolve_batch_size(8) == 8
-        assert resolve_batch_size(0) == 0
-
-    def test_garbage_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "banana")
-        assert resolve_batch_size() == DEFAULT_BATCH
-
-    def test_garbage_env_warns_once(self, monkeypatch, capsys):
-        import importlib
-
-        # repro.telemetry re-exports the log *function* under the submodule
-        # name, so attribute-style imports resolve to the function — go
-        # through importlib to reach the module that owns _WARNED_ENV.
-        telemetry_log = importlib.import_module("repro.telemetry.log")
-
-        monkeypatch.setenv("REPRO_LOG", "info")
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "banana")
-        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
-        assert resolve_batch_size() == DEFAULT_BATCH
-        err = capsys.readouterr().err
-        assert "REPRO_FAULT_BATCH" in err and "'banana'" in err
-        # The warning names the bad value exactly once per process.
-        assert resolve_batch_size() == DEFAULT_BATCH
-        assert capsys.readouterr().err == ""
-
-    def test_batch_of_one_rounds_up(self):
-        # A 1-fault "batch" would be pure overhead; the kernel floor is 2.
-        assert resolve_batch_size(1) == 2
 
 
 class TestPlanBatches:
@@ -108,14 +79,14 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("name,patterns", [("s27", 100), ("s953", 128)])
     def test_bit_identical_to_event_driven(self, name, patterns):
         sim, faults = sampled_population(name, patterns, 120, seed=11)
-        event = [sim.simulate_fault(f) for f in faults]
+        event = [simulate_fault(sim, f) for f in faults]
         for batch_size in (2, 7, 32):
             batched = simulate_faults_batched(sim, faults, batch_size, workers=0)
             assert_identical(event, batched)
 
     def test_single_batch_kernel(self):
         sim, faults = sampled_population("s27", 64, 12, seed=5)
-        event = [sim.simulate_fault(f) for f in faults]
+        event = [simulate_fault(sim, f) for f in faults]
         batched = simulate_batch(sim, faults)
         assert_identical(event, batched)
 
@@ -130,28 +101,59 @@ class TestBatchedEquivalence:
             for vec in response.cell_errors.values():
                 assert np.array_equal(vec & mask, vec)
 
-    def test_simulate_faults_dispatches_to_batched(self, monkeypatch):
-        from repro.telemetry import METRICS
-
-        monkeypatch.delenv("REPRO_FAULT_BATCH", raising=False)
+    def test_simulate_faults_dispatches_to_batched(self):
         sim, faults = sampled_population("s27", 64, 20, seed=9)
         before = METRICS.snapshot()
         via_dispatch = sim.simulate_faults(faults, workers=0)
         delta = METRICS.diff(before)
-        assert delta["counters"].get("faultsim.batched_faults") == len(faults)
-        event = [sim.simulate_fault(f) for f in faults]
+        expected = len(plan_batches(sim, faults, DEFAULT_BATCH))
+        assert delta["counters"].get("faultsim.batches") == expected
+        assert delta["counters"].get("faultsim.faults") == len(faults)
+        event = [simulate_fault(sim, f) for f in faults]
         assert_identical(event, via_dispatch)
 
-    def test_batch_disabled_env_uses_event_path(self, monkeypatch):
-        from repro.telemetry import METRICS
-
+    def test_removed_kernel_knobs_are_ignored(self, monkeypatch):
+        # REPRO_SOA / REPRO_FAULT_BATCH used to select other kernels.
+        monkeypatch.setenv("REPRO_SOA", "0")
         monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
         sim, faults = sampled_population("s27", 64, 20, seed=9)
         before = METRICS.snapshot()
         responses = sim.simulate_faults(faults, workers=0)
-        delta = METRICS.diff(before)
-        assert "faultsim.batched_faults" not in delta["counters"]
-        assert_identical([sim.simulate_fault(f) for f in faults], responses)
+        assert METRICS.diff(before)["counters"].get("faultsim.batches") == 1
+        assert_identical([simulate_fault(sim, f) for f in faults], responses)
+
+
+class TestPopulationEdges:
+    """Inputs that reach the batched kernel only since it became the
+    single fault-simulation path."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_empty_population(self, workers):
+        sim, _faults = sampled_population("s27", 64, 1, seed=1)
+        assert sim.simulate_faults([], workers=workers) == []
+
+    @pytest.mark.parametrize("name,patterns", [("s27", 100), ("s953", 128)])
+    def test_one_fault_population(self, name, patterns):
+        sim, faults = sampled_population(name, patterns, 40, seed=31)
+        for fault in faults:
+            assert_identical([simulate_fault(sim, fault)],
+                             sim.simulate_faults([fault], workers=0))
+
+    def test_gate_free_netlist(self):
+        compiled = CompiledCircuit(parse_bench(GATE_FREE_BENCH, name="gate-free"))
+        assert not compiled._ops
+        pi, ff = fast_pattern_matrices(
+            compiled.num_inputs, compiled.num_scan_cells, 100, seed=3
+        )
+        good = compiled.simulate(pi, ff, 100)
+        np.testing.assert_array_equal(
+            good.values, simulate_pergate(compiled, pi, ff, 100).values
+        )
+        sim = FaultSimulator(compiled, good)
+        faults = collapse_faults(compiled.netlist)
+        responses = sim.simulate_faults(faults, workers=0)
+        assert any(r.detected for r in responses)
+        assert_identical([simulate_fault(sim, f) for f in faults], responses)
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork pool unavailable")
@@ -165,10 +167,7 @@ class TestBatchedForked:
 
     def test_env_workers_dispatch(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.delenv("REPRO_FAULT_BATCH", raising=False)
         sim, faults = sampled_population("s953", 128, 100, seed=29)
         forked = sim.simulate_faults(faults)
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
-        event = sim.simulate_faults(faults)
+        event = [simulate_fault(sim, f) for f in faults]
         assert_identical(event, forked)

@@ -1,4 +1,4 @@
-"""SoA level-schedule kernel: env resolution, structure invariants, and
+"""SoA level-schedule kernel: structure invariants, caching, and
 bit-identity against the per-gate oracle.
 
 The schedule is a pure reshuffling of the compiled ops list, so every
@@ -19,27 +19,26 @@ from repro.experiments import cache_disk
 from repro.experiments.cache import cache_stats, clear_caches
 from repro.parallel import fork_available
 from repro.sim import soa
-import importlib
-
-# repro.telemetry re-exports the log *function* under the submodule's
-# name, so attribute-style imports resolve to the function, not the module.
-telemetry_log = importlib.import_module("repro.telemetry.log")
 from repro.sim.faults import collapse_faults
-from repro.sim.faultsim_batch import simulate_batch, simulate_faults_batched
+from repro.sim.faultsim_batch import simulate_faults_batched
 from repro.sim.logicsim import CompiledCircuit
-from repro.sim.soa import build_schedule, schedule_for, soa_enabled, structural_digest
+from repro.sim.soa import build_schedule, schedule_for, structural_digest
 from repro.soc.core_wrapper import EmbeddedCore
+from repro.telemetry import METRICS
+from tests.reference.faultsim import simulate_fault
+from tests.reference.logicsim import simulate_pergate
 
 from .test_logicsim import GATE_BENCH
 
 
 def assert_kernels_identical(compiled, num_patterns, seed=11):
-    """Both gate-eval kernels over the same patterns, full value plane."""
+    """The SoA kernel and the per-gate oracle over the same patterns,
+    full value plane."""
     pi, ff = fast_pattern_matrices(
         compiled.num_inputs, compiled.num_scan_cells, num_patterns, seed=seed
     )
-    fast = compiled.simulate(pi, ff, num_patterns, soa=True)
-    slow = compiled.simulate(pi, ff, num_patterns, soa=False)
+    fast = compiled.simulate(pi, ff, num_patterns)
+    slow = simulate_pergate(compiled, pi, ff, num_patterns)
     np.testing.assert_array_equal(fast.values, slow.values)
     return fast
 
@@ -74,48 +73,6 @@ def sampled_population(name, num_patterns, count, seed):
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(faults), size=min(count, len(faults)), replace=False)
     return core.fault_simulator, [faults[i] for i in idx]
-
-
-class TestSoaEnabled:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOA", raising=False)
-        assert soa_enabled() is True
-
-    def test_empty_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "  ")
-        assert soa_enabled() is True
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        assert soa_enabled() is False
-
-    def test_nonzero_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "2")
-        assert soa_enabled() is True
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        assert soa_enabled(True) is True
-        monkeypatch.setenv("REPRO_SOA", "1")
-        assert soa_enabled(False) is False
-
-    def test_garbage_env_warns_once_and_keeps_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_LOG", "info")
-        monkeypatch.setenv("REPRO_SOA", "of")
-        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
-        assert soa_enabled() is True
-        err = capsys.readouterr().err
-        assert "REPRO_SOA" in err and "'of'" in err
-        # Second resolution of the same bad value stays silent.
-        assert soa_enabled() is True
-        assert capsys.readouterr().err == ""
-
-    def test_quiet_log_suppresses_warning(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_LOG", "quiet")
-        monkeypatch.setenv("REPRO_SOA", "yes")
-        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
-        assert soa_enabled() is True
-        assert capsys.readouterr().err == ""
 
 
 class TestScheduleStructure:
@@ -191,23 +148,13 @@ class TestGoodMachineIdentity:
         mask = pattern_mask(100)
         np.testing.assert_array_equal(result.values & mask, result.values)
 
-    def test_env_knob_selects_kernel(self, small_compiled, monkeypatch):
-        from repro.telemetry import METRICS
-
+    def test_counts_good_machine_sims(self, small_compiled):
         pi, ff = fast_pattern_matrices(
             small_compiled.num_inputs, small_compiled.num_scan_cells, 48, seed=2
         )
-        monkeypatch.setenv("REPRO_SOA", "0")
         before = METRICS.snapshot()
-        off = small_compiled.simulate(pi, ff, 48)
-        delta = METRICS.diff(before)
-        assert delta["counters"].get("logicsim.sims{kernel=per-gate}") == 1
-        monkeypatch.setenv("REPRO_SOA", "1")
-        before = METRICS.snapshot()
-        on = small_compiled.simulate(pi, ff, 48)
-        delta = METRICS.diff(before)
-        assert delta["counters"].get("logicsim.sims{kernel=soa}") == 1
-        np.testing.assert_array_equal(off.values, on.values)
+        small_compiled.simulate(pi, ff, 48)
+        assert METRICS.diff(before)["counters"].get("logicsim.sims") == 1
 
 
 class TestGeneratedNetlists:
@@ -252,35 +199,15 @@ class TestBatchedIdentity:
     )
     def test_soa_cone_matches_event_oracle(self, name, patterns, count):
         sim, faults = sampled_population(name, patterns, count, seed=13)
-        oracle = [sim.simulate_fault(f) for f in faults]
-        batched = simulate_faults_batched(sim, faults, 16, workers=0, soa=True)
+        oracle = [simulate_fault(sim, f) for f in faults]
+        batched = simulate_faults_batched(sim, faults, 16, workers=0)
         assert_responses_identical(oracle, batched)
-
-    def test_soa_batch_matches_per_gate_batch(self):
-        sim, faults = sampled_population("s953", 128, 48, seed=19)
-        per_gate = simulate_batch(sim, faults, soa=False)
-        via_soa = simulate_batch(sim, faults, soa=True)
-        assert_responses_identical(per_gate, via_soa)
-
-    def test_env_disable_selects_per_gate_cone(self, monkeypatch):
-        from repro.telemetry import METRICS
-
-        sim, faults = sampled_population("s27", 64, 12, seed=7)
-        monkeypatch.setenv("REPRO_SOA", "0")
-        before = METRICS.snapshot()
-        off = simulate_batch(sim, faults)
-        assert "faultsim.soa_batches" not in METRICS.diff(before)["counters"]
-        monkeypatch.setenv("REPRO_SOA", "1")
-        before = METRICS.snapshot()
-        on = simulate_batch(sim, faults)
-        assert METRICS.diff(before)["counters"].get("faultsim.soa_batches") == 1
-        assert_responses_identical(off, on)
 
     @pytest.mark.skipif(not fork_available(), reason="fork pool unavailable")
     def test_forked_soa_bit_identical(self):
         sim, faults = sampled_population("s953", 128, 80, seed=23)
-        serial = simulate_faults_batched(sim, faults, 16, workers=0, soa=True)
-        forked = simulate_faults_batched(sim, faults, 16, workers=2, soa=True)
+        serial = simulate_faults_batched(sim, faults, 16, workers=0)
+        forked = simulate_faults_batched(sim, faults, 16, workers=2)
         assert_responses_identical(serial, forked)
 
 
@@ -299,6 +226,24 @@ class TestScheduleCache:
         stats = cache_stats()
         assert stats.misses.get("soa-schedule") == 1
         assert stats.hits.get("soa-schedule") == 1
+
+    def test_build_traced_once(self, s27_netlist):
+        from repro.telemetry import TRACER, enable_tracing
+
+        was_enabled = TRACER.enabled
+        enable_tracing()
+        TRACER.reset()
+        try:
+            compiled = CompiledCircuit(s27_netlist)
+            schedule_for(compiled)
+            schedule_for(compiled)  # memory hit: no build, no span
+            spans = [sp for root in TRACER.roots() for sp in root.walk()
+                     if sp.name == "soa.schedule"]
+        finally:
+            TRACER.enabled = was_enabled
+            TRACER.reset()
+        assert len(spans) == 1
+        assert spans[0].attributes == {"circuit": s27_netlist.name}
 
     def test_disk_round_trip(self, s27_netlist, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_DISK_CACHE", str(tmp_path / "dc"))

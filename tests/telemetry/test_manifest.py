@@ -57,6 +57,18 @@ class TestManifestRoundTrip:
         assert manifest["env"]["REPRO_WORKERS"] == "3"
         assert "REPRO_CACHE" in manifest["env"]
 
+    def test_simulation_kernels_recorded_as_constants(self, monkeypatch):
+        # The sim layer has one kernel each; the fields stay for readers
+        # of older manifests, and the retired knobs no longer move them.
+        monkeypatch.setenv("REPRO_SOA", "0")
+        monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
+        manifest = build_manifest()
+        kernels = manifest["kernels"]
+        assert (kernels["gate_eval"], kernels["fault_sim"],
+                kernels["fault_batch"]) == ("soa", "batched", 64)
+        assert "REPRO_SOA" not in manifest["env"]
+        assert "REPRO_FAULT_BATCH" not in manifest["env"]
+
     def test_config_hash_stable_and_sensitive(self):
         a = default_config(num_faults=4, num_faults_large=4)
         b = default_config(num_faults=4, num_faults_large=4)

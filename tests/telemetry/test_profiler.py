@@ -78,6 +78,14 @@ class TestEnvResolution:
         assert resolve_profile_hz() == DEFAULT_HZ
         assert capsys.readouterr().err == ""
 
+    def test_quiet_log_suppresses_warning(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_LOG", "quiet")
+        monkeypatch.setenv("REPRO_PROFILE_HZ", "fast")
+        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
+        assert resolve_profile_hz() == DEFAULT_HZ
+        assert capsys.readouterr().err == ""
+
+
 
 class TestProfileData:
     def test_record_total_and_folded_lines(self):

@@ -30,6 +30,7 @@ from repro.parallel import parallel_map
 from repro.sim.bitops import WORD_BITS, pack_bits
 from repro.sim.faults import Fault
 from repro.sim.faultsim import FaultResponse, FaultSimulator
+from repro.sim.faultsim_batch import simulate_faults_batched
 
 TINY = ExperimentConfig(num_faults=10, num_faults_large=4, scale=0.1)
 
@@ -233,9 +234,58 @@ class TestParallelEvaluation:
             assert a.candidate_history == b.candidate_history
 
 
+def reference_responses(workload, pergate_good=False):
+    """The workload's faults re-simulated by the event-driven oracle,
+    optionally on a good machine from the per-gate oracle too."""
+    from repro.bist.patterns import fast_pattern_matrices
+    from repro.circuit.library import get_circuit
+    from repro.sim.logicsim import CompiledCircuit
+    from repro.soc.core_wrapper import EmbeddedCore, hash_name
+    from tests.reference.faultsim import simulate_fault
+    from tests.reference.logicsim import simulate_pergate
+
+    netlist = get_circuit(workload.name, scale=TINY.scale)
+    patterns = workload.num_patterns
+    if pergate_good:
+        compiled = CompiledCircuit(netlist)
+        pi, ff = fast_pattern_matrices(
+            compiled.num_inputs, compiled.num_scan_cells, patterns,
+            seed=0xACE1 ^ hash_name(netlist.name),
+        )
+        sim = FaultSimulator(
+            compiled, simulate_pergate(compiled, pi, ff, patterns)
+        )
+    else:
+        sim = EmbeddedCore(netlist, num_patterns=patterns).fault_simulator
+    return [simulate_fault(sim, r.fault) for r in workload.responses]
+
+
+def assert_same_diagnosis(workload, responses):
+    """Both response sets diagnose to the same DR and candidates."""
+    from dataclasses import replace
+
+    got = evaluate_scheme(workload, "two-step", 3, 4, TINY, workers=0)
+    want = evaluate_scheme(replace(workload, responses=responses),
+                           "two-step", 3, 4, TINY, workers=0)
+    assert want.dr == got.dr
+    for a, b in zip(want.results, got.results):
+        assert a.candidate_cells == b.candidate_cells
+        assert a.candidate_history == b.candidate_history
+
+
+def assert_responses_identical(expected, actual):
+    assert len(expected) == len(actual)
+    for a, b in zip(expected, actual):
+        assert a.fault == b.fault
+        assert a.num_patterns == b.num_patterns
+        assert set(a.cell_errors) == set(b.cell_errors)
+        for cell in a.cell_errors:
+            np.testing.assert_array_equal(a.cell_errors[cell], b.cell_errors[cell])
+
+
 class TestFaultBatchedEvaluation:
     """The fault-batched kernel (PR 4) is a pure optimization too: every
-    end-to-end number must match the event-driven path exactly."""
+    workload response must match the event-driven oracle exactly."""
 
     def setup_method(self):
         clear_caches()
@@ -243,39 +293,27 @@ class TestFaultBatchedEvaluation:
     def teardown_method(self):
         clear_caches()
 
-    def test_evaluate_scheme_batched_vs_event(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "0")
-        clear_caches()
-        event = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
-        )
-        monkeypatch.setenv("REPRO_FAULT_BATCH", "16")
-        clear_caches()
-        batched = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
-        )
-        assert event.dr == batched.dr
-        for a, b in zip(event.results, batched.results):
-            assert a.candidate_cells == b.candidate_cells
-            assert a.candidate_history == b.candidate_history
+    def test_evaluate_scheme_batched_vs_event(self):
+        workload = build_circuit_workload("s953", TINY)
+        assert workload.responses
+        event = reference_responses(workload)
+        assert_responses_identical(event, workload.responses)
+        assert_same_diagnosis(workload, event)
 
     def test_batched_serial_vs_forked_identical(self, small_compiled, small_good):
         from repro.sim.faults import collapse_faults
 
         sim = FaultSimulator(small_compiled, small_good)
         faults = collapse_faults(small_compiled.netlist)[:16]
-        serial = sim.simulate_faults(faults, workers=0, batch=4)
-        forked = sim.simulate_faults(faults, workers=2, batch=4)
-        for a, b in zip(serial, forked):
-            assert a.fault == b.fault
-            assert set(a.cell_errors) == set(b.cell_errors)
-            for cell in a.cell_errors:
-                np.testing.assert_array_equal(a.cell_errors[cell], b.cell_errors[cell])
+        serial = simulate_faults_batched(sim, faults, 4, workers=0)
+        forked = simulate_faults_batched(sim, faults, 4, workers=2)
+        assert_responses_identical(serial, forked)
 
 
 class TestSoAEvaluation:
     """The SoA gate-eval kernel (PR 6) is a pure optimization as well:
-    end-to-end DR and candidate sets must match the per-gate path."""
+    workload responses must match the per-gate good machine feeding the
+    event-driven oracle, bit for bit."""
 
     def setup_method(self):
         clear_caches()
@@ -283,21 +321,12 @@ class TestSoAEvaluation:
     def teardown_method(self):
         clear_caches()
 
-    def test_evaluate_scheme_soa_vs_pergate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOA", "0")
-        clear_caches()
-        per_gate = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
-        )
-        monkeypatch.setenv("REPRO_SOA", "1")
-        clear_caches()
-        via_soa = evaluate_scheme(
-            build_circuit_workload("s953", TINY), "two-step", 3, 4, TINY, workers=0
-        )
-        assert per_gate.dr == via_soa.dr
-        for a, b in zip(per_gate.results, via_soa.results):
-            assert a.candidate_cells == b.candidate_cells
-            assert a.candidate_history == b.candidate_history
+    def test_evaluate_scheme_soa_vs_pergate(self):
+        workload = build_circuit_workload("s953", TINY)
+        assert workload.responses
+        per_gate = reference_responses(workload, pergate_good=True)
+        assert_responses_identical(per_gate, workload.responses)
+        assert_same_diagnosis(workload, per_gate)
 
 
 class TestDiskCacheEquivalence:

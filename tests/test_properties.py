@@ -35,14 +35,8 @@ def build_responses(seed, n_ff=16, n_gates=90, num_patterns=24, max_faults=6):
     rng = np.random.default_rng(seed)
     faults = collapse_faults(netlist)
     rng.shuffle(faults)
-    responses = []
-    for fault in faults:
-        response = sim.simulate_fault(fault)
-        if response.detected:
-            responses.append(response)
-        if len(responses) >= max_faults:
-            break
-    return compiled, responses
+    responses = [r for r in sim.simulate_faults(faults) if r.detected]
+    return compiled, responses[:max_faults]
 
 
 @settings(max_examples=10, deadline=None)
