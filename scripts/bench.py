@@ -494,6 +494,7 @@ def bench_cluster(circuit, quick, cluster_workers=4):
             "deterministic": report.get("determinism", {}).get("ok"),
             "drain_clean": report.get("drain", {}).get("clean"),
             "exit_code": code,
+            "failures": report.get("failures"),
         }
         if "chaos" in report:
             row["chaos"] = {

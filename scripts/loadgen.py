@@ -23,6 +23,12 @@ respawned it (requests ride out the kill via transport retries).
 fault index must be bit-identical across the run *and* equal to the
 direct in-process ``core.diagnosis`` result.
 
+Every check that fails appends its reason to the report's top-level
+``failures`` list (``http_<status>``, ``timeout``, ``exception:<Type>``,
+``mismatch``, ``chaos_not_recovered``, ``malformed_metrics``,
+``drain_exit_<code>``); the exit status is 1 exactly when that list is
+non-empty.
+
 Run:  PYTHONPATH=src python scripts/loadgen.py --requests 200
           [--duration S] [--rps 0] [--concurrency 200] [--circuit s953]
           [--spawn] [--workers 4] [--kill-one-at 0.4]
@@ -41,6 +47,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 from queue import Empty, Queue
 from typing import Any, Dict, List, Optional
@@ -81,7 +88,6 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument("--fail-on-5xx", action="store_true",
                         help="exit 1 on any 5xx / dropped response")
     parser.add_argument("--batch-max", type=int, default=None)
-    parser.add_argument("--batch-wait-ms", type=float, default=None)
     parser.add_argument("--queue-depth", type=int, default=None)
     parser.add_argument("--workers", type=int, default=1,
                         help="with --spawn: server processes; >1 spawns the "
@@ -126,8 +132,6 @@ def spawn_server(args: argparse.Namespace) -> subprocess.Popen:
                 "--heartbeat-s", str(args.heartbeat_s)]
     if args.batch_max is not None:
         cmd += ["--batch-max", str(args.batch_max)]
-    if args.batch_wait_ms is not None:
-        cmd += ["--batch-wait-ms", str(args.batch_wait_ms)]
     if args.queue_depth is not None:
         cmd += ["--queue-depth", str(args.queue_depth)]
     env = dict(os.environ)
@@ -267,18 +271,30 @@ def chaos_kill_one(args: argparse.Namespace, progress,
 
 class Outcome:
     __slots__ = ("code", "latency_s", "fault_index", "candidates",
-                 "trace_id", "trace_echoed")
+                 "trace_id", "trace_echoed", "reason")
 
     def __init__(self, code: str, latency_s: float, fault_index: int,
                  candidates: Optional[tuple] = None,
                  trace_id: Optional[str] = None,
-                 trace_echoed: Optional[bool] = None):
+                 trace_echoed: Optional[bool] = None,
+                 reason: Optional[str] = None):
         self.code = code
         self.latency_s = latency_s
         self.fault_index = fault_index
         self.candidates = candidates
         self.trace_id = trace_id
         self.trace_echoed = trace_echoed
+        #: Failure reason for a non-ok outcome (``http_<status>``,
+        #: ``timeout`` or ``exception:<Type>``).
+        self.reason = reason
+
+
+def transport_reason(exc: TransportError) -> str:
+    """``timeout`` or ``exception:<Type>`` of the error under a transport failure."""
+    cause = exc.__cause__ or exc
+    if isinstance(cause, TimeoutError):
+        return "timeout"
+    return f"exception:{type(cause).__name__}"
 
 
 def run_load(args: argparse.Namespace,
@@ -353,16 +369,18 @@ def run_load(args: argparse.Namespace,
                     except ServiceError as exc:
                         outcome = Outcome(exc.code,
                                           time.monotonic() - started,
-                                          fault_index, trace_id=trace_id)
+                                          fault_index, trace_id=trace_id,
+                                          reason=f"http_{exc.status}")
                         break
-                    except TransportError:
+                    except TransportError as exc:
                         # A kill -9'd worker drops its connections; with a
                         # shared listen port a fresh connect lands on a
                         # live sibling, so retrying is safe and expected
                         # under --kill-one-at.
                         outcome = Outcome("transport_error",
                                           time.monotonic() - started,
-                                          fault_index)
+                                          fault_index,
+                                          reason=transport_reason(exc))
                         if attempt < args.retries:
                             time.sleep(0.05 * (attempt + 1))
                 with lock:
@@ -480,7 +498,7 @@ def check_metrics(client: ServiceClient) -> Dict[str, Any]:
         "problems": problems,
         "queue": payload.get("queue"),
         "batching": {k: batching.get(k) for k in
-                     ("batch_max", "batch_wait_ms", "batches", "batch_size")},
+                     ("batch_max", "batches", "batch_size")},
         "latency": payload.get("latency"),
         "rejected": payload.get("rejected"),
         "timeouts": payload.get("timeouts"),
@@ -490,8 +508,31 @@ def check_metrics(client: ServiceClient) -> Dict[str, Any]:
 
 
 def check_cluster_metrics(args: argparse.Namespace) -> Dict[str, Any]:
-    """Validate the supervisor's aggregated control-port ``/metrics``."""
-    payload = control_get(args, "/metrics")
+    """Validate the supervisor's aggregated control-port ``/metrics``.
+
+    Workers report their counts by heartbeat, so the fleet view trails
+    the load by up to one ``--heartbeat-s``: a run shorter than that
+    would read an empty fleet.  Re-read for up to ten heartbeats before
+    reporting a problem.
+    """
+    deadline = time.monotonic() + 10 * args.heartbeat_s
+    while True:
+        payload = control_get(args, "/metrics")
+        problems = cluster_metrics_problems(payload)
+        if not problems or time.monotonic() >= deadline:
+            break
+        time.sleep(args.heartbeat_s / 2)
+    return {
+        "well_formed": not problems,
+        "problems": problems,
+        "workers": payload.get("workers", {}),
+        "worker_table": payload.get("worker_table"),
+        "requests": payload.get("requests"),
+        "fleet_latency": payload.get("fleet_latency"),
+    }
+
+
+def cluster_metrics_problems(payload: Dict[str, Any]) -> List[str]:
     problems = []
     for key in ("workers", "worker_table", "requests", "fleet_latency",
                 "registry"):
@@ -507,14 +548,7 @@ def check_cluster_metrics(args: argparse.Namespace) -> Dict[str, Any]:
     total = payload.get("fleet_latency", {}).get("total", {})
     if not total.get("count"):
         problems.append("fleet_latency.total.count is 0 after load")
-    return {
-        "well_formed": not problems,
-        "problems": problems,
-        "workers": workers,
-        "worker_table": payload.get("worker_table"),
-        "requests": payload.get("requests"),
-        "fleet_latency": payload.get("fleet_latency"),
-    }
+    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -537,7 +571,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
     }
     proc: Optional[subprocess.Popen] = None
-    failed = False
+    failures: List[str] = []
     try:
         if args.spawn:
             proc = spawn_server(args)
@@ -574,7 +608,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             report["chaos"] = chaos_result
             if not chaos_result.get("recovered") and \
                     not chaos_result.get("skipped"):
-                failed = True
+                failures.append("chaos_not_recovered")
         report["service"] = summarize(outcomes, wall_s)
         if args.trace:
             ok_traced = [o for o in outcomes
@@ -602,7 +636,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.verify:
             report["determinism"] = verify_determinism(args, outcomes)
             if not report["determinism"]["ok"]:
-                failed = True
+                failures.append("mismatch")
         client.close()
 
         if args.baseline:
@@ -612,17 +646,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 report["speedup_vs_oneshot"] = round(
                     report["service"]["throughput_rps"] / base_rps, 2)
 
-        dropped = report["service"]["requests"] - sum(
-            report["service"]["codes"].get(code, 0)
-            for code in ("ok", "queue_full", "deadline_exceeded"))
-        report["service"]["dropped"] = dropped
-        any_5xx = any(code in ("internal_error", "shutting_down",
-                               "transport_error")
-                      for code in report["service"]["codes"])
-        if args.fail_on_5xx and (any_5xx or dropped):
-            failed = True
+        # Load shedding (429) and deadlines (504) are answers; every other
+        # non-ok outcome (5xx, transport failure) is a dropped request.
+        dropped = [o.reason for o in outcomes
+                   if o.code not in ("ok", "queue_full", "deadline_exceeded")]
+        report["service"]["dropped"] = len(dropped)
+        if args.fail_on_5xx:
+            failures.extend(sorted(set(dropped)))
         if not report["metrics_after"]["well_formed"]:
-            failed = True
+            failures.append("malformed_metrics")
+    except Exception as exc:  # noqa: BLE001 - the report records every failure
+        failures.append(f"exception:{type(exc).__name__}")
+        report["error"] = traceback.format_exc()
+        print(report["error"], file=sys.stderr)
     finally:
         if proc is not None:
             proc.send_signal(signal.SIGTERM)
@@ -637,14 +673,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "clean": exit_code == 0,
             }
             if exit_code != 0:
-                failed = True
+                failures.append(f"drain_exit_{exit_code}")
 
+    report["failures"] = failures
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps({k: v for k, v in report.items() if k != "metrics_after"},
                      indent=2))
     print(f"wrote {out}", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

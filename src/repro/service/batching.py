@@ -2,16 +2,19 @@
 
 Requests arrive one HTTP connection at a time but share expensive compiled
 state whenever their workload key matches, so the dispatcher coalesces
-them: take the oldest pending request, then hold the batch open for up to
-``batch_wait_s`` (or until ``batch_max`` same-key requests are pending),
-and hand the whole group to the engine as **one** vectorized diagnosis
-call.  Requests with *other* keys are left queued in arrival order — FIFO
-across keys, batched within a key.
+them (continuous batching): as soon as a dispatcher is free it takes the
+oldest pending request plus every same-key request already queued, capped
+at ``batch_max``, and hands the group to the engine as **one** vectorized
+diagnosis call.  No timer holds a batch open: requests that arrive while
+a batch runs form the next batch, so batches grow exactly when the engine
+is busy.  Requests with *other* keys are left queued in arrival order —
+FIFO across keys, batched within a key.
 
 Admission control is synchronous: :meth:`BatchQueue.offer` either accepts
 the request (bounded by ``max_depth``) or raises ``queue_full`` with a
-``Retry-After`` hint derived from the recent batch service rate — callers
-get an answer immediately instead of waiting in an unbounded backlog.
+``Retry-After`` hint of the backlog times the recent per-request service
+time — callers get an answer immediately instead of waiting in an
+unbounded backlog.
 
 Deadlines: every entry may carry an absolute ``deadline`` (monotonic
 seconds).  Expired or abandoned (client timed out / disconnected) entries
@@ -57,13 +60,11 @@ class PendingRequest:
 class BatchQueue:
     """FIFO-across-keys, coalescing-within-key bounded request queue."""
 
-    def __init__(self, max_depth: int = 256, batch_max: int = 32,
-                 batch_wait_s: float = 0.005):
+    def __init__(self, max_depth: int = 256, batch_max: int = 32):
         if max_depth < 1 or batch_max < 1:
             raise ValueError("max_depth and batch_max must be >= 1")
         self.max_depth = max_depth
         self.batch_max = batch_max
-        self.batch_wait_s = max(0.0, batch_wait_s)
         self._pending: Deque[PendingRequest] = deque()
         self._cond: Optional[asyncio.Condition] = None
         #: EWMA of seconds consumed per request served (Retry-After hint).
@@ -105,7 +106,7 @@ class BatchQueue:
 
     def retry_after_hint(self) -> float:
         """Seconds until the backlog should have drained enough to retry."""
-        backlog_s = len(self._pending) * self._service_rate_s / max(1, self.batch_max)
+        backlog_s = len(self._pending) * self._service_rate_s
         return round(min(30.0, max(1.0, backlog_s)), 1)
 
     def record_service_rate(self, seconds_per_request: float) -> None:
@@ -114,12 +115,13 @@ class BatchQueue:
     # -- consumer side -------------------------------------------------------
 
     async def next_batch(self) -> List[PendingRequest]:
-        """Block until a batch is ready; empty list means the queue closed.
+        """Block until a request is pending; empty list means the queue closed.
 
-        The batch is the oldest pending request plus every same-key request
-        that is already queued or arrives within ``batch_wait_s``, capped
-        at ``batch_max``.  Expired/abandoned entries are pruned (expired
-        ones get a ``deadline_exceeded`` result).
+        The batch is the oldest pending request plus every same-key
+        request already queued, capped at ``batch_max``; it is returned
+        at once, without waiting for later arrivals.  Expired/abandoned
+        entries are pruned first (expired ones get a ``deadline_exceeded``
+        result).
         """
         cond = self._condition()
         async with cond:
@@ -131,16 +133,6 @@ class BatchQueue:
                     return []
                 await cond.wait()
             key = self._pending[0].request.workload_key
-            if self.batch_wait_s > 0:
-                give_up = time.monotonic() + self.batch_wait_s
-                while self._count_key(key) < self.batch_max:
-                    remaining = give_up - time.monotonic()
-                    if remaining <= 0 or self._closed:
-                        break
-                    try:
-                        await asyncio.wait_for(cond.wait(), timeout=remaining)
-                    except asyncio.TimeoutError:
-                        break
             batch: List[PendingRequest] = []
             kept: Deque[PendingRequest] = deque()
             for entry in self._pending:
@@ -150,11 +142,7 @@ class BatchQueue:
                     kept.append(entry)
             self._pending = kept
             METRICS.gauge("service.queue_depth", len(self._pending))
-        batch = [e for e in batch if self._still_wanted(e)]
-        return batch if batch else await self.next_batch()
-
-    def _count_key(self, key) -> int:
-        return sum(1 for e in self._pending if e.request.workload_key == key)
+        return batch
 
     def _prune_locked(self) -> None:
         kept: Deque[PendingRequest] = deque()

@@ -52,7 +52,6 @@ def start_cluster(**overrides):
     kwargs = dict(
         host="127.0.0.1", port=0, workers=2,
         heartbeat_s=0.2, backoff_base_s=0.1, min_uptime_s=0.5,
-        server_kwargs=dict(batch_wait_ms=1.0),
         engine_kwargs=dict(workers=0),
         disk_warm=False,
     )

@@ -6,39 +6,41 @@ queueing, executor threads and the fork pool must be invisible in the
 numbers.
 """
 
-import threading
-
 from repro.service.client import ServiceClient
-from repro.service.engine import DiagnosisEngine
 
-from .conftest import SMALL, small_request
+from .conftest import (
+    SMALL,
+    GatedEngine,
+    coalesce_behind_busy_engine,
+    small_request,
+)
 from .test_engine import direct_results
 
 
-def service_candidates(port, indices):
-    """Submit all indices concurrently (so they actually coalesce)."""
+def service_candidates(port, engine, count):
+    """Submit fault indices ``0..count-1`` so they run as one coalesced
+    batch, and check that they did."""
     out = {}
 
     def fire(i):
         with ServiceClient(port=port, timeout_s=60) as client:
-            out[i] = tuple(client.diagnose(
-                dict(SMALL, fault_index=i, timeout_ms=60_000)).candidate_cells)
+            reply = client.diagnose(
+                dict(SMALL, fault_index=i, timeout_ms=60_000))
+            out[i] = (tuple(reply.candidate_cells), reply.batch_size)
 
-    threads = [threading.Thread(target=fire, args=(i,)) for i in indices]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return out
+    coalesce_behind_busy_engine(port, engine, fire, count)
+    assert {size for _, size in out.values()} == {count}
+    return {i: cells for i, (cells, _) in out.items()}
 
 
 class TestServiceMatchesDirectPath:
     def test_serial_server_bit_identical(self, live_server):
         _, expected = direct_results()
-        _, port = live_server(batch_wait_ms=50, batch_max=16,
-                              engine=DiagnosisEngine(workers=0))
-        ServiceClient(port=port).wait_ready()
-        got = service_candidates(port, range(SMALL["fault_count"]))
+        engine = GatedEngine()
+        _, port = live_server(batch_max=16, engine=engine)
+        with ServiceClient(port=port) as client:
+            client.wait_ready()
+        got = service_candidates(port, engine, SMALL["fault_count"])
         for i, direct in enumerate(expected):
             assert got[i] == tuple(sorted(direct.candidate_cells)), \
                 f"fault {i} differs on the serial server"
@@ -46,15 +48,17 @@ class TestServiceMatchesDirectPath:
     def test_forked_server_bit_identical(self, live_server, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         _, expected = direct_results()
-        _, port = live_server(batch_wait_ms=100, batch_max=16)
-        ServiceClient(port=port).wait_ready()
-        got = service_candidates(port, range(SMALL["fault_count"]))
+        engine = GatedEngine(workers=None)  # honours REPRO_WORKERS
+        _, port = live_server(batch_max=16, engine=engine)
+        with ServiceClient(port=port) as client:
+            client.wait_ready()
+        got = service_candidates(port, engine, SMALL["fault_count"])
         for i, direct in enumerate(expected):
             assert got[i] == tuple(sorted(direct.candidate_cells)), \
                 f"fault {i} differs with REPRO_WORKERS=2"
 
     def test_repeated_requests_are_stable(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         ServiceClient(port=port).wait_ready()
         with ServiceClient(port=port) as client:
             first = client.diagnose(small_request(2))

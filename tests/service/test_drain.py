@@ -18,7 +18,7 @@ import pytest
 from repro.service.client import ServiceClient, TransportError
 from repro.service.protocol import ServiceError
 
-from .conftest import SMALL
+from .conftest import SMALL, GatedEngine
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -26,9 +26,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 class TestInProcessDrain:
     def test_inflight_batch_completes_then_new_work_refused(self, live_server):
-        # A long batch window holds the admitted request in the queue,
-        # giving the drain something genuinely in-flight to finish.
-        server, port = live_server(batch_wait_ms=60.0)
+        # The engine holds the admitted request's batch, so the drain
+        # starts with something genuinely in flight to finish.
+        engine = GatedEngine()
+        server, port = live_server(engine=engine)
         client = ServiceClient(port=port)
         client.wait_ready(timeout_s=60)
         outcome = {}
@@ -41,10 +42,18 @@ class TestInProcessDrain:
 
         worker = threading.Thread(target=admitted)
         worker.start()
-        time.sleep(0.02)  # let the request reach the batch queue
-        server.stop(drain=True)
+        assert engine.busy.wait(30), "the request never reached the engine"
+        stopper = threading.Thread(target=server.stop,
+                                   kwargs=dict(drain=True))
+        stopper.start()
+        deadline = time.monotonic() + 30
+        while not server.server.draining:
+            assert time.monotonic() < deadline, "drain never started"
+            time.sleep(0.01)
+        engine.release()
+        stopper.join(30)
         worker.join(30)
-        assert not worker.is_alive()
+        assert not stopper.is_alive() and not worker.is_alive()
         assert "error" not in outcome, outcome
         assert outcome["reply"].candidate_cells
 
@@ -59,7 +68,7 @@ class TestInProcessDrain:
         client.close()
 
     def test_healthz_reports_draining(self, live_server):
-        server, port = live_server(batch_wait_ms=1.0)
+        server, port = live_server()
         client = ServiceClient(port=port)
         client.wait_ready(timeout_s=60)
         assert client.health()["status"] == "ok"
@@ -74,7 +83,7 @@ class TestSigtermDrain:
         env.pop("REPRO_DISK_CACHE", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
-             "--port", "0", "--batch-wait-ms", "25", "--no-disk-warm"],
+             "--port", "0", "--no-disk-warm"],
             stderr=subprocess.PIPE, env=env, cwd=REPO_ROOT,
         )
         port = None
@@ -118,7 +127,7 @@ class TestSigtermDrain:
                        for i in range(16)]
             for t in threads:
                 t.start()
-            time.sleep(0.03)  # most requests now queued in the batch window
+            time.sleep(0.03)  # most requests now queued or in a batch
             proc.send_signal(signal.SIGTERM)
             for t in threads:
                 t.join(60)

@@ -10,7 +10,7 @@ from repro.service.client import ServiceClient, TransportError
 from repro.service.engine import DiagnosisEngine
 from repro.service.protocol import DiagnoseRequest, ServiceError
 
-from .conftest import SMALL
+from .conftest import SMALL, GatedEngine, coalesce_behind_busy_engine
 
 
 def small_payload(fault_index=0, **overrides):
@@ -33,7 +33,7 @@ class SlowEngine(DiagnosisEngine):
 
 class TestHappyPath:
     def test_health_diagnose_metrics(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             health = client.health()
@@ -61,7 +61,7 @@ class TestHappyPath:
             )
 
     def test_keep_alive_serves_many_requests(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             replies = [client.diagnose(small_payload(i % 3)) for i in range(6)]
@@ -109,8 +109,7 @@ class TestAdmissionControl:
         import threading
 
         _, port = live_server(
-            engine=SlowEngine(0.6), queue_depth=1, batch_max=1,
-            batch_wait_ms=0)
+            engine=SlowEngine(0.6), queue_depth=1, batch_max=1)
         ServiceClient(port=port).wait_ready()
         results = {}
 
@@ -139,7 +138,7 @@ class TestAdmissionControl:
         assert rejected.retry_after_s is not None
 
     def test_deadline_exceeded_504(self, live_server):
-        _, port = live_server(engine=SlowEngine(0.8), batch_wait_ms=0)
+        _, port = live_server(engine=SlowEngine(0.8))
         with ServiceClient(port=port) as client:
             client.wait_ready()
             with pytest.raises(ServiceError) as exc:
@@ -152,26 +151,19 @@ class TestAdmissionControl:
 
 class TestBatchingOverHttp:
     def test_concurrent_same_workload_requests_coalesce(self, live_server):
-        import threading
-
-        _, port = live_server(batch_wait_ms=150, batch_max=16)
-        ServiceClient(port=port).wait_ready()
-        # Warm the workload so the batch window dominates, not compile time.
-        with ServiceClient(port=port) as warm:
-            warm.diagnose(small_payload(0))
+        engine = GatedEngine()
+        _, port = live_server(engine=engine, batch_max=16)
+        with ServiceClient(port=port) as client:
+            client.wait_ready()
         replies = {}
 
         def fire(i):
             with ServiceClient(port=port, timeout_s=30) as client:
                 replies[i] = client.diagnose(small_payload(i))
 
-        threads = [threading.Thread(target=fire, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # At least one multi-request batch formed inside the 150 ms window.
-        assert max(r.batch_size for r in replies.values()) >= 2
+        coalesce_behind_busy_engine(port, engine, fire, 4)
+        # All four queued behind the busy engine, so they ran as one batch.
+        assert sorted(r.batch_size for r in replies.values()) == [4, 4, 4, 4]
 
 
 class TestPrometheusExposition:
@@ -190,7 +182,7 @@ class TestPrometheusExposition:
         return response, body
 
     def _warmed_port(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             client.diagnose(small_payload(0))
@@ -254,7 +246,7 @@ class TestPrometheusExposition:
 
 class TestGracefulShutdown:
     def test_drain_serves_queued_work_then_refuses(self, live_server):
-        server, port = live_server(batch_wait_ms=1)
+        server, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             assert client.diagnose(small_payload(0)).candidate_cells

@@ -15,7 +15,7 @@ from repro.service.client import ServiceClient
 from repro.service.protocol import ServiceError
 from repro.telemetry import FLIGHT, new_trace_id
 
-from .conftest import SMALL
+from .conftest import SMALL, GatedEngine, coalesce_behind_busy_engine
 
 
 def small_payload(fault_index=0, **overrides):
@@ -33,7 +33,7 @@ def reset_flight():
 
 class TestTraceContext:
     def test_client_trace_id_echoed(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         trace_id = new_trace_id()
         with ServiceClient(port=port) as client:
             client.wait_ready()
@@ -41,7 +41,7 @@ class TestTraceContext:
         assert reply.trace_id == trace_id
 
     def test_server_mints_trace_id_when_client_sends_none(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             reply = client.diagnose(small_payload(0))
@@ -49,7 +49,7 @@ class TestTraceContext:
         int(reply.trace_id, 16)  # well-formed hex
 
     def test_distinct_requests_get_distinct_traces(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             ids = {client.diagnose(small_payload(i % 3)).trace_id
@@ -64,10 +64,12 @@ class TestThreeTierTraceTree:
         server, engine-batch and fork-chunk spans across >=2 processes."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "4")
-        # A long coalescing window so all concurrent requests land in ONE
-        # batch — big enough (>= 8 live members after the diagnosis-chunk
-        # split) that the engine fans out over the fork pool.
-        _, port = live_server(batch_wait_ms=500, batch_max=32)
+        # All concurrent requests queue behind a held batch and then run
+        # as ONE batch — big enough (>= 8 live members after the
+        # diagnosis-chunk split) that the engine fans out over the fork
+        # pool (workers=None honours REPRO_WORKERS).
+        engine = GatedEngine(workers=None)
+        _, port = live_server(engine=engine, batch_max=32)
         ids = [new_trace_id() for _ in range(12)]
 
         def fire(k):
@@ -77,12 +79,7 @@ class TestThreeTierTraceTree:
 
         with ServiceClient(port=port) as client:
             client.wait_ready()
-        threads = [threading.Thread(target=fire, args=(k,))
-                   for k in range(len(ids))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        coalesce_behind_busy_engine(port, engine, fire, len(ids))
 
         with ServiceClient(port=port) as client:
             for trace_id in (ids[0], ids[7]):  # head or member — same tree
@@ -104,7 +101,7 @@ class TestThreeTierTraceTree:
 
 class TestDebugEndpoints:
     def test_debug_requests_lists_recent_records(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         trace_id = new_trace_id()
         with ServiceClient(port=port) as client:
             client.wait_ready()
@@ -120,7 +117,7 @@ class TestDebugEndpoints:
         assert any(r["trace_id"] == trace_id for r in snap["slow"][key])
 
     def test_debug_requests_records_errors(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             with pytest.raises(ServiceError):
@@ -130,7 +127,7 @@ class TestDebugEndpoints:
         assert any(r["status"] == "circuit_not_found" for r in errors)
 
     def test_debug_flightrec_resizes_recorder_live(self, live_server):
-        _, port = live_server(batch_wait_ms=1)
+        _, port = live_server()
         with ServiceClient(port=port) as client:
             client.wait_ready()
             state = client.debug_flightrec()
@@ -217,7 +214,7 @@ class TestOutcomeLabels:
         from .test_server import SlowEngine
 
         _, port = live_server(engine=SlowEngine(0.5), queue_depth=1,
-                              batch_max=1, batch_wait_ms=1)
+                              batch_max=1)
 
         rejected = []
 
