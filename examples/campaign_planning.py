@@ -18,8 +18,9 @@ import sys
 
 import numpy as np
 
-from repro import EmbeddedCore, LinearCompactor, ScanConfig, diagnose, get_circuit
+from repro import EmbeddedCore, LinearCompactor, ScanConfig, get_circuit
 from repro.core.diagnosis import diagnostic_resolution
+from repro.core.diagnosis_batch import diagnose_population
 from repro.core.planner import (
     expected_population_dr,
     plan_campaign,
@@ -73,7 +74,7 @@ def main():
         partitions = make_partitioner(
             scheme, core.num_cells, plan.num_groups
         ).partitions(plan.num_partitions)
-        results = [diagnose(r, scan, partitions, compactor) for r in responses]
+        results = diagnose_population(responses, scan, partitions, compactor)
         dr = diagnostic_resolution(results)
         print(f"  measured DR with {scheme:>8}: {dr:.3f} "
               f"({len(responses)} sampled faults)")

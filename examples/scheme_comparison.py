@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from repro import LinearCompactor, EmbeddedCore, ScanConfig, diagnose, get_circuit
+from repro import LinearCompactor, EmbeddedCore, ScanConfig, get_circuit
+from repro.core.diagnosis_batch import diagnose_population
 from repro.core.diagnosis import dr_by_partition_count
 from repro.core.two_step import make_partitioner
 
@@ -53,7 +54,7 @@ def main():
         partitions = make_partitioner(
             scheme, core.num_cells, NUM_GROUPS
         ).partitions(MAX_PARTITIONS)
-        results = [diagnose(r, scan, partitions, compactor) for r in responses]
+        results = diagnose_population(responses, scan, partitions, compactor)
         sweeps[scheme] = dr_by_partition_count(results, MAX_PARTITIONS)
 
     print(text_chart(sweeps))

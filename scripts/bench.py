@@ -27,12 +27,12 @@ Stages, per benchmark circuit:
 * ``serve_coldstart_cold_s`` / ``serve_coldstart_disk_warm_s`` — time for
   a fresh :class:`DiagnosisEngine` to resolve its first request, cold vs
   warm-from-disk.
-* ``diagnose_batch_s`` vs ``diagnose_perfault_s`` — the population-fused
-  diagnosis kernel (PR 9, one signature scatter for the whole fault
-  population) against the per-fault oracle loop, both serial on a
-  population pinned to ``DIAG_POPULATION`` faults in both bench modes;
-  ``diagnose_speedup`` is the ratio and the two result sets must be
-  bit-identical (asserted).
+* ``diagnose_batch_s`` vs ``diagnose_perfault_s`` — the population
+  diagnosis kernel (one signature scatter for the whole fault
+  population) against the per-fault oracle loop in
+  ``tests/reference/diagnosis.py``, both serial on a population pinned to
+  ``DIAG_POPULATION`` faults in both bench modes; ``diagnose_speedup`` is
+  the ratio and the two result sets must be bit-identical (asserted).
 * ``evaluate_warm_s`` — end-to-end scheme evaluation (workload build +
   diagnose, cache warm) with the vectorized kernels.
 * ``evaluate_profiled_s`` — the same warm evaluation with a private
@@ -125,6 +125,7 @@ from repro.sim.bitops import WORD_BITS
 from repro.sim.faultsim import FaultSimulator
 from repro.soc.core_wrapper import EmbeddedCore, hash_name
 from repro.telemetry import METRICS, SamplingProfiler, log
+from tests.reference.diagnosis import diagnose as reference_diagnose
 from tests.reference.faultsim import simulate_fault
 from tests.reference.logicsim import simulate_pergate
 
@@ -284,7 +285,7 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
         pickle.dumps(event_responses, protocol=5)
     )
 
-    # The population-fused diagnosis kernel vs the per-fault oracle, both
+    # The population diagnosis kernel vs the per-fault oracle, both
     # serial so the ratio isolates the kernel (not the pool).  The
     # population is pinned to DIAG_POPULATION faults in *both* bench
     # modes: the speedup grows with population size (the batch path
@@ -309,10 +310,10 @@ def bench_circuit(name, config, num_partitions, repeats=3, fault_cap=400):
     )
     diag_perfault_s, perfault_results = best_of(
         max(repeats, 3),
-        lambda: diagnose_population(
-            diag_responses, workload.scan_config, partitions, compactor,
-            workers=0, chunk=0,
-        ),
+        lambda: [
+            reference_diagnose(r, workload.scan_config, partitions, compactor)
+            for r in diag_responses
+        ],
     )
     for a, b in zip(perfault_results, batch_results):
         assert a.candidate_cells == b.candidate_cells, (
@@ -734,10 +735,15 @@ def bench_serve_overhead(circuit, quick):
 GATED_SPEEDUPS = ("fault_batch_speedup", "soa_speedup", "diagnose_speedup")
 
 
+#: The cluster stage's loadgen runs; any recorded failure fails the gate.
+CLUSTER_ROWS = ("single_process", "cluster", "cluster_chaos")
+
+
 def check_against(report, committed, tolerance):
     """CI gate: fail when any :data:`GATED_SPEEDUPS` ratio regressed vs
-    the committed report by more than ``tolerance`` on any circuit, or
-    when the serve path's tracing overhead blew its budget.
+    the committed report by more than ``tolerance`` on any circuit, when
+    the serve path's tracing overhead blew its budget, or when a cluster
+    stage loadgen run recorded failures or exited non-zero.
 
     Compares machine-relative ratios, never absolute wall clocks, so a
     slower CI runner alone cannot trip the gate.  The serve-overhead
@@ -754,6 +760,14 @@ def check_against(report, committed, tolerance):
               f"(budget {budget:.0f}%) {status}")
         if overhead > budget:
             failures.append("serve:overhead")
+    for name in CLUSTER_ROWS:
+        row = (report.get("cluster") or {}).get(name)
+        if row is None:
+            continue
+        if row.get("failures") or row.get("exit_code"):
+            print(f"check: cluster {name} loadgen exit_code="
+                  f"{row.get('exit_code')} failures={row.get('failures')} FAILED")
+            failures.append(f"cluster:{name}")
     if committed is None:
         print("check: no committed report; skipping speedup gate")
         if failures:
@@ -778,7 +792,7 @@ def check_against(report, committed, tolerance):
             if got < floor:
                 failures.append(f"{timing['circuit']}:{metric}")
     if failures:
-        print(f"check: FAIL — regressions: {', '.join(failures)} "
+        print(f"check: FAIL — {', '.join(failures)} "
               f"(speedup tolerance {tolerance:.0%})")
         return 1
     print("check: PASS")

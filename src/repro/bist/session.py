@@ -237,9 +237,8 @@ def collect_population_events(
 
     All responses' error matrices are stacked into a single bit matrix and
     unpacked together — one kernel launch for the whole population instead
-    of one per fault.  Requires a uniform pattern count (so the packed word
-    vectors stack); the fused diagnosis kernel guarantees this by falling
-    back to the per-fault path for mixed populations.
+    of one per fault.  Word vectors of responses with fewer patterns are
+    zero-padded to the longest, which adds no events.
     """
     num_faults = len(responses)
     rows: List[np.ndarray] = []
@@ -256,7 +255,11 @@ def collect_population_events(
         return PopulationEvents(
             ErrorEvents.empty(), zero, np.zeros(num_faults + 1, dtype=np.int64)
         )
-    matrix = np.stack(rows)
+    width = max(row.size for row in rows)
+    matrix = np.stack([
+        row if row.size == width else np.pad(row, (0, width - row.size))
+        for row in rows
+    ])
     bits = np.unpackbits(
         matrix.view(np.uint8).reshape(len(rows), -1), axis=1, bitorder="little"
     )
@@ -335,45 +338,6 @@ def sessions_from_arrays(
                 flat, groups * num_channels + events.channels, contributions
             )
     return SessionOutcome(signature_matrix=matrix)
-
-
-def sessions_for_partitions(
-    events: ErrorEvents,
-    contributions: Optional[np.ndarray],
-    partitions: Sequence,
-    num_channels: int,
-) -> List[SessionOutcome]:
-    """All partitions' sessions of one fault in a single bucketed pass.
-
-    The per-event contributions are partition-independent, so the whole
-    ``(partition, group, channel)`` signature tensor accumulates with one
-    scatter instead of one kernel launch per partition.
-    """
-    num_parts = len(partitions)
-    max_groups = max(part.num_groups for part in partitions)
-    METRICS.incr("session.batch_kernel_calls")
-    METRICS.incr(
-        "session.sessions_compacted",
-        sum(part.num_groups for part in partitions),
-    )
-    tensor = np.zeros((num_parts, max_groups, num_channels), dtype=np.uint64)
-    if len(events):
-        group_stack = np.stack([np.asarray(part.group_of) for part in partitions])
-        groups = group_stack[:, events.positions]  # [partition, event]
-        flat_index = (
-            np.arange(num_parts)[:, np.newaxis] * (max_groups * num_channels)
-            + groups * num_channels
-            + events.channels[np.newaxis, :]
-        ).ravel()
-        flat = tensor.reshape(-1)
-        if contributions is None:
-            flat[flat_index] = np.uint64(1)
-        else:
-            np.bitwise_xor.at(flat, flat_index, np.tile(contributions, num_parts))
-    return [
-        SessionOutcome(signature_matrix=tensor[k, : part.num_groups, :])
-        for k, part in enumerate(partitions)
-    ]
 
 
 def run_partition_sessions(

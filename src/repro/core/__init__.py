@@ -20,6 +20,8 @@ from .vector_diagnosis import (
 )
 from .deterministic import DeterministicPartitioner, fixed_interval_partition
 from .diagnosis import (
+    CellSets,
+    DiagnosisPopulation,
     DiagnosisResult,
     diagnose,
     diagnostic_resolution,
@@ -28,7 +30,6 @@ from .diagnosis import (
 )
 from .diagnosis_batch import (
     diagnose_population,
-    resolve_diagnosis_chunk,
     scatter_population_signatures,
 )
 from .interval import (
@@ -69,7 +70,9 @@ from .two_step import TwoStepPartitioner, make_partitioner
 
 __all__ = [
     "BinarySearchResult",
+    "CellSets",
     "DeterministicPartitioner",
+    "DiagnosisPopulation",
     "DiagnosisResult",
     "IntervalPartitioner",
     "Partition",
@@ -83,7 +86,6 @@ __all__ = [
     "diagnose_vectors",
     "diagnose_vectors_population",
     "failing_vectors",
-    "resolve_diagnosis_chunk",
     "scatter_population_signatures",
     "interleaved_scan_order",
     "permuted_scan_config",

@@ -1,10 +1,8 @@
-"""Population-fused diagnosis: diagnose every fault in one scatter.
+"""Population diagnosis: diagnose every fault in one scatter.
 
-:func:`repro.core.diagnosis.diagnose` already collapses all sessions of all
-partitions of *one* fault into a single signature scatter, but callers
-still loop it over the fault population — hundreds of tiny numpy launches
-whose Python dispatch dominates once fault simulation itself is batched.
-This module fuses the population axis too:
+Per-fault diagnosis would loop hundreds of tiny numpy launches over the
+fault population, whose Python dispatch dominates once fault simulation
+itself is batched.  This kernel fuses the population axis:
 
 1. every fault's :class:`~repro.bist.session.ErrorEvents` are extracted in
    one ``np.nonzero`` (:func:`~repro.bist.session.collect_population_events`),
@@ -15,72 +13,38 @@ This module fuses the population axis too:
 4. one running mask, ANDed in place with each partition's failing groups
    (:func:`intersect_partitions`), yields every candidate mask and history.
 
-The results are bit-identical :class:`~repro.core.diagnosis.DiagnosisResult`
-objects whose :class:`~repro.bist.session.SessionOutcome` views alias
-slices of the signature tensor, so Table 1 / Figure 5 / superposition
-consumers are untouched.
+The result is one :class:`~repro.core.diagnosis.DiagnosisPopulation`
+holding those arrays; DR and superposition read them directly, and
+indexing it builds a per-fault :class:`~repro.core.diagnosis.DiagnosisResult`
+only for the callers that want one.
 
-``REPRO_DIAGNOSIS_BATCH`` gates the kernel: unset/empty runs fused with the
-default chunk, ``0`` falls back to the per-fault oracle, any other integer
-is the number of faults fused per chunk (bounding the event tensor).  With
-``workers > 1`` chunks fan out over the fork pool through
-:func:`repro.parallel.parallel_map`, with a packed transport codec that
-ships each chunk's results as a handful of flat arrays instead of
-thousands of pickled Python objects.
+With ``workers > 1`` and at least :data:`MIN_CHUNK_FAULTS` faults for
+each of two or more workers, the population splits into contiguous
+chunks of at least that size, one per worker, that run on the fork pool
+(:func:`repro.parallel.parallel_map`); each chunk's population arrays
+ship back as they are and are concatenated in fault order.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..bist.misr import LinearCompactor
 from ..bist.scan import ScanConfig
-from ..bist.session import SessionOutcome, collect_population_events
-from ..parallel import Codec, parallel_map, resolve_workers
+from ..bist.session import collect_population_events
+from ..parallel import parallel_map, resolve_workers
+from ..sim.bitops import popcount_rows
 from ..sim.faultsim import FaultResponse
-from ..telemetry import METRICS, span, warn_env_once
-from .diagnosis import DiagnosisResult, diagnose
+from ..telemetry import METRICS, span
+from .diagnosis import CellSets, DiagnosisPopulation
 from .partitions import Partition, validate_partition_set
 
-#: Default faults fused per kernel launch.  The transient arrays scale with
-#: ``faults x partitions x events-per-fault``; 256 keeps the largest
-#: benchmark's event tensor in the tens of megabytes while amortizing the
-#: Python dispatch over hundreds of faults.
-DEFAULT_CHUNK = 256
-
-
-def resolve_diagnosis_chunk(chunk: Optional[int] = None) -> int:
-    """Normalize a fused-diagnosis chunk request.
-
-    ``None`` reads ``REPRO_DIAGNOSIS_BATCH``: unset/empty means the default
-    chunk, ``0`` disables fusion (per-fault oracle), any other integer is
-    the faults-per-chunk bound.  Unparseable values warn once
-    (``REPRO_LOG``) and fall back to the default.  Returns 0 (disabled) or
-    a chunk size >= 1.
-    """
-    if chunk is None:
-        raw = os.environ.get("REPRO_DIAGNOSIS_BATCH", "").strip()
-        if not raw:
-            return DEFAULT_CHUNK
-        try:
-            chunk = int(raw)
-        except ValueError:
-            warn_env_once(
-                "REPRO_DIAGNOSIS_BATCH", raw,
-                f"using the default chunk of {DEFAULT_CHUNK}",
-            )
-            return DEFAULT_CHUNK
-    if chunk <= 0:
-        return 0
-    return chunk
-
-
-def fused_enabled() -> bool:
-    """True when the environment selects the fused kernel."""
-    return resolve_diagnosis_chunk() > 0
+#: Fewest faults a forked chunk gets: a fresh pool plus shipping a chunk's
+#: arrays back costs more than half the kernel's ~20-45 us per fault, so
+#: on 2 vCPUs a split of s953 breaks even only near 3200 faults.
+MIN_CHUNK_FAULTS = 2048
 
 
 def diagnose_population(
@@ -89,67 +53,39 @@ def diagnose_population(
     partitions: Sequence[Partition],
     compactor: Optional[LinearCompactor] = None,
     channel_resolution: bool = True,
-    chunk: Optional[int] = None,
     workers: Optional[int] = None,
-) -> List[DiagnosisResult]:
-    """Diagnose a whole fault population, fused (default) or per fault.
+) -> DiagnosisPopulation:
+    """Diagnose a whole fault population.
 
-    Bit-identical to ``[diagnose(r, ...) for r in responses]`` for any
-    chunk size and worker count.  Falls back to the per-fault path when
-    fusion is disabled, the compactor only implements the scalar
-    ``impulse_response`` protocol, or the responses disagree on the
-    pattern count (the stacked extraction needs uniform word vectors).
+    ``compactor=None`` uses exact (alias-free) session verdicts; otherwise
+    the compactor's ``batch_impulse_responses`` models the MISR.
+    Responses may differ in pattern count.  The result is identical for
+    any worker count.
     """
     responses = list(responses)
     partitions = list(partitions)
-    chunk = resolve_diagnosis_chunk(chunk)
-    batched_compactor = compactor is None or hasattr(
-        compactor, "batch_impulse_responses"
-    )
-    uniform = len({r.num_patterns for r in responses}) <= 1
-    if not responses:
-        return []
-    if chunk == 0 or not batched_compactor or not uniform:
-        METRICS.incr("diagnosis.perfault_faults", len(responses))
-        return parallel_map(
-            lambda i: diagnose(
-                responses[i], scan_config, partitions, compactor,
-                channel_resolution=channel_resolution,
-            ),
-            len(responses),
-            workers,
-        )
     validate_partition_set(partitions)
     if partitions[0].length != scan_config.max_length:
         raise ValueError(
             f"partition length {partitions[0].length} != scan configuration "
             f"length {scan_config.max_length}"
         )
-    chunks = [
-        (start, min(start + chunk, len(responses)))
-        for start in range(0, len(responses), chunk)
-    ]
-    if len(chunks) > 1 and resolve_workers(workers) > 1:
-        codec = _make_chunk_codec(partitions, scan_config, channel_resolution)
-        chunk_results = parallel_map(
+    num_chunks = min(resolve_workers(workers), len(responses) // MIN_CHUNK_FAULTS)
+    if num_chunks > 1:
+        bounds = np.linspace(0, len(responses), num_chunks + 1).astype(int)
+        chunks = parallel_map(
             lambda c: _diagnose_chunk(
-                responses[chunks[c][0]:chunks[c][1]], scan_config, partitions,
+                responses[bounds[c]:bounds[c + 1]], scan_config, partitions,
                 compactor, channel_resolution,
             ),
-            len(chunks),
-            workers,
+            num_chunks,
+            num_chunks,
             min_items=2,
-            codec=codec,
         )
-    else:
-        chunk_results = [
-            _diagnose_chunk(
-                responses[lo:hi], scan_config, partitions, compactor,
-                channel_resolution,
-            )
-            for lo, hi in chunks
-        ]
-    return [result for group in chunk_results for result in group]
+        return DiagnosisPopulation.concat(chunks, partitions)
+    return _diagnose_chunk(
+        responses, scan_config, partitions, compactor, channel_resolution
+    )
 
 
 def scatter_population_signatures(
@@ -192,32 +128,58 @@ def scatter_population_signatures(
 def intersect_partitions(
     failing: np.ndarray, partitions: Sequence[Partition], start_mask: np.ndarray
 ):
-    """AND each partition's failing groups, gathered per position, into one
-    running mask from ``start_mask``; ``failing`` is ``[partition, fault,
-    ..., group]``.  Returns the mask and ``history[partition, fault]``."""
-    failing = np.ascontiguousarray(failing)
-    num_faults = failing.shape[1]
-    mask = np.repeat(start_mask[np.newaxis], num_faults, axis=0)
-    history = np.empty((len(partitions), num_faults), dtype=np.int64)
+    """AND each partition's failing groups, spread over their positions,
+    into ``start_mask``, one partition after another.
+
+    ``failing`` is ``[partition, fault, ..., group]`` and ``start_mask``
+    is ``[..., position]``; the middle axes broadcast.  Returns the final
+    mask ``[fault, ..., position]`` and ``history[partition, fault]``, the
+    candidate count after each partition.
+
+    Masks are bit-packed along positions (one ``uint64`` word per 64
+    positions).  A partition's failing positions are the OR of its
+    failing groups' packed member bytes
+    (:attr:`~repro.core.partitions.Partition.packed_members`); the groups'
+    bits are disjoint, so the OR is a sum, and one float32 matmul per
+    population computes it exactly (every sum is an integer below 256).
+    One cumulative AND over the partition axis then gives the mask after
+    every partition, and one popcount gives every history entry.
+    """
+    num_parts, num_faults = failing.shape[:2]
+    num_groups, length = failing.shape[-1], start_mask.shape[-1]
+    width = -(-length // 64) * 8  # bytes per packed row, whole words
+    members = np.zeros((num_parts, num_groups, width), dtype=np.float32)
     for p, part in enumerate(partitions):
-        mask &= failing[p][..., part.group_of]
-        history[p] = np.count_nonzero(mask.reshape(num_faults, -1), axis=1)
-    return mask, history
+        members[p, : part.num_groups] = part.packed_members
+    rows = np.ascontiguousarray(failing, dtype=np.float32).reshape(
+        num_parts, int(np.prod(failing.shape[1:-1])), num_groups)
+    spread = (rows @ members).astype(np.uint8).view(np.uint64).reshape(
+        failing.shape[:-1] + (width // 8,))
+    packed = np.packbits(start_mask, axis=-1, bitorder="little")
+    start = np.zeros(packed.shape[:-1] + (width,), dtype=np.uint8)
+    start[..., : packed.shape[-1]] = packed
+    start = start.view(np.uint64)
+    masks = np.bitwise_and.accumulate(spread & start, axis=0)
+    history = popcount_rows(
+        masks.reshape(num_parts * num_faults, start.size)
+    ).reshape(num_parts, num_faults)
+    unpacked = np.unpackbits(masks[-1].view(np.uint8), axis=-1, count=length,
+                             bitorder="little")
+    return unpacked.view(bool), history
 
 
 def _diagnose_chunk(
     responses: Sequence[FaultResponse],
     scan_config: ScanConfig,
-    partitions: Sequence[Partition],
+    partitions: List[Partition],
     compactor: Optional[LinearCompactor],
     channel_resolution: bool,
-) -> List[DiagnosisResult]:
-    """The fused kernel proper: one chunk of faults in a handful of ops."""
+) -> DiagnosisPopulation:
+    """The kernel proper: one chunk of faults in a handful of ops."""
     num_faults = len(responses)
     num_parts = len(partitions)
     num_channels = scan_config.num_chains
     max_groups = max(part.num_groups for part in partitions)
-    total_cycles = scan_config.total_cycles(responses[0].num_patterns)
 
     with span("diagnose.batch_kernel", faults=num_faults,
               partitions=num_parts) as sp:
@@ -234,11 +196,11 @@ def _diagnose_chunk(
         if exact:
             contributions = None
         else:
+            patterns = np.array([r.num_patterns for r in responses], dtype=np.int64)
+            total_cycles = scan_config.total_cycles(patterns)[population.fault_of]
             steps = total_cycles - 1 - events.cycles
             if np.any(steps < 0) or np.any(events.cycles < 0):
-                raise ValueError(
-                    f"event cycle outside session of {total_cycles}"
-                )
+                raise ValueError("event cycle outside its session")
             contributions = compactor.batch_impulse_responses(
                 events.channels, steps
             )
@@ -262,8 +224,8 @@ def _diagnose_chunk(
 
         # Failing verdicts as [partition, fault, channel, group] for the
         # running-mask sweep; a collapsed channel axis broadcasts over chains.
-        collapsed = None
         if channel_resolution:
+            signatures = tensor
             failing = (tensor != 0).transpose(1, 0, 3, 2)
         else:
             if exact:
@@ -274,147 +236,23 @@ def _diagnose_chunk(
                 collapsed = np.zeros(
                     (num_faults, num_parts, max_groups), dtype=np.uint64
                 )
+            signatures = collapsed[..., np.newaxis]
             failing = (collapsed != 0).transpose(1, 0, 2)[:, :, np.newaxis]
         presence = scan_config.presence_mask()
-        final_mask, history = intersect_partitions(failing, partitions, presence)
+        masks, history = intersect_partitions(failing, partitions, presence)
         grid = scan_config.cell_id_grid()
-        flat = np.flatnonzero(final_mask)  # [fault, chain, position] order
-        candidate_cells = grid.reshape(-1)[flat % grid.size]
-        bounds = np.searchsorted(flat, np.arange(num_faults + 1) * grid.size)
-
-    results: List[DiagnosisResult] = []
-    for f, response in enumerate(responses):
-        if channel_resolution:
-            outcomes = [
-                SessionOutcome(
-                    signature_matrix=tensor[f, p, : part.num_groups, :]
-                )
-                for p, part in enumerate(partitions)
-            ]
-        else:
-            outcomes = [
-                SessionOutcome(
-                    signature_matrix=collapsed[f, p, : part.num_groups]
-                    .reshape(-1, 1)
-                )
-                for p, part in enumerate(partitions)
-            ]
-        candidates = {
-            int(c) for c in candidate_cells[bounds[f]:bounds[f + 1]]
-        }
-        results.append(
-            DiagnosisResult(
-                actual_cells=set(response.failing_cells),
-                candidate_cells=candidates,
-                outcomes=outcomes,
-                partitions=partitions,
-                candidate_history=[int(h) for h in history[:, f]],
-                position_mask=final_mask[f],
-            )
+        flat = np.flatnonzero(masks)  # [fault, chain, position] order
+        candidates = CellSets(
+            grid.reshape(-1)[flat % grid.size],
+            np.searchsorted(flat, np.arange(num_faults + 1) * grid.size),
         )
-    return results
+        actual = CellSets.from_lists([r.failing_cells for r in responses])
 
-
-# -- packed chunk transport ----------------------------------------------------
-
-
-def _make_chunk_codec(
-    partitions: Sequence[Partition],
-    scan_config: ScanConfig,
-    channel_resolution: bool,
-) -> Codec:
-    """Transport codec for forked chunk results.
-
-    A chunk's :class:`DiagnosisResult` list is mostly numpy state sliced
-    out of shared tensors; pickling the objects directly would ship
-    thousands of small arrays and Python sets.  The codec re-packs each
-    pool chunk into a handful of flat arrays (signature tensor, packed
-    candidate masks, concatenated cell lists with offsets) and rebuilds
-    bit-identical results in the parent.  The partition list never crosses
-    the pipe — both sides already hold it (fork inheritance in the child,
-    the closure here in the parent).
-    """
-    group_counts = [part.num_groups for part in partitions]
-    max_groups = max(group_counts)
-    num_parts = len(partitions)
-    mask_shape = (scan_config.num_chains, scan_config.max_length)
-    sig_channels = scan_config.num_chains if channel_resolution else 1
-
-    def encode(chunk_lists: List[List[DiagnosisResult]]) -> Dict[str, Any]:
-        flat = [result for group in chunk_lists for result in group]
-        num_faults = len(flat)
-        signatures = np.zeros(
-            (num_faults, num_parts, max_groups, sig_channels), dtype=np.uint64
-        )
-        masks = np.zeros((num_faults,) + mask_shape, dtype=bool)
-        history = np.zeros((num_faults, num_parts), dtype=np.int64)
-        actual = [np.asarray(sorted(r.actual_cells), dtype=np.int64)
-                  for r in flat]
-        cand = [np.asarray(sorted(r.candidate_cells), dtype=np.int64)
-                for r in flat]
-        for f, result in enumerate(flat):
-            masks[f] = result.position_mask
-            history[f] = result.candidate_history
-            for p, outcome in enumerate(result.outcomes):
-                matrix = outcome.signature_matrix
-                signatures[f, p, : matrix.shape[0], : matrix.shape[1]] = matrix
-        return {
-            "chunk_lens": np.asarray(
-                [len(group) for group in chunk_lists], dtype=np.int64
-            ),
-            "signatures": signatures,
-            "mask_bits": np.packbits(masks),
-            "history": history,
-            "actual": np.concatenate(actual) if actual
-            else np.zeros(0, dtype=np.int64),
-            "actual_offsets": np.cumsum(
-                [0] + [a.size for a in actual], dtype=np.int64
-            ),
-            "cand": np.concatenate(cand) if cand
-            else np.zeros(0, dtype=np.int64),
-            "cand_offsets": np.cumsum(
-                [0] + [c.size for c in cand], dtype=np.int64
-            ),
-        }
-
-    def decode(wire: Dict[str, Any]) -> List[List[DiagnosisResult]]:
-        chunk_lens = wire["chunk_lens"]
-        num_faults = int(chunk_lens.sum())
-        masks = np.unpackbits(
-            wire["mask_bits"],
-            count=num_faults * mask_shape[0] * mask_shape[1],
-        ).astype(bool).reshape((num_faults,) + mask_shape)
-        signatures = wire["signatures"]
-        history = wire["history"]
-        results: List[DiagnosisResult] = []
-        partitions_list = list(partitions)
-        for f in range(num_faults):
-            outcomes = [
-                SessionOutcome(
-                    signature_matrix=signatures[f, p, : group_counts[p], :]
-                )
-                for p in range(num_parts)
-            ]
-            a_lo, a_hi = wire["actual_offsets"][f], wire["actual_offsets"][f + 1]
-            c_lo, c_hi = wire["cand_offsets"][f], wire["cand_offsets"][f + 1]
-            results.append(
-                DiagnosisResult(
-                    actual_cells={int(c) for c in wire["actual"][a_lo:a_hi]},
-                    candidate_cells={int(c) for c in wire["cand"][c_lo:c_hi]},
-                    outcomes=outcomes,
-                    partitions=partitions_list,
-                    candidate_history=[int(h) for h in history[f]],
-                    position_mask=masks[f],
-                )
-            )
-        regrouped: List[List[DiagnosisResult]] = []
-        start = 0
-        for size in chunk_lens:
-            regrouped.append(results[start:start + int(size)])
-            start += int(size)
-        return regrouped
-
-    def nbytes(wire: Dict[str, Any]) -> int:
-        return sum(v.nbytes for v in wire.values())
-
-    return Codec(encode=encode, decode=decode, nbytes=nbytes)
+    return DiagnosisPopulation(
+        partitions=partitions,
+        signatures=signatures,
+        masks=masks,
+        history=history,
+        candidates=candidates,
+        actual=actual,
+    )

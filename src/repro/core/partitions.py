@@ -11,6 +11,7 @@ their sessions trivially pass).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence
 
 import numpy as np
@@ -41,6 +42,15 @@ class Partition:
     @property
     def length(self) -> int:
         return int(self.group_of.size)
+
+    @cached_property
+    def packed_members(self) -> np.ndarray:
+        """``[group, byte]``: each group's positions as little-endian
+        packed bits, rows padded to whole 64-bit words (built once per
+        partition; the diagnosis kernel's intersection reads it)."""
+        onehot = np.zeros((self.num_groups, -(-self.length // 64) * 64), dtype=bool)
+        onehot[self.group_of, np.arange(self.length)] = True
+        return np.packbits(onehot, axis=1, bitorder="little")
 
     def members(self, group: int) -> np.ndarray:
         """Shift positions belonging to ``group`` (sorted)."""

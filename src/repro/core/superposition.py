@@ -19,51 +19,58 @@ A collapsed signature (``channel_resolution=False``) prunes every chain.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from ..bist.scan import ScanConfig
-from .diagnosis import DiagnosisResult, _cells_from_mask
+from .diagnosis import CellSets, DiagnosisPopulation, DiagnosisResult
 
 
 def superposition_prune_population(
-    results: Sequence[DiagnosisResult], scan_config: ScanConfig
-) -> List[DiagnosisResult]:
-    """Superposition-prune a whole result population at once, returning new
-    :class:`DiagnosisResult` objects.
+    population: Union[DiagnosisPopulation, Sequence[DiagnosisResult]],
+    scan_config: ScanConfig,
+) -> Union[DiagnosisPopulation, List[DiagnosisResult]]:
+    """Superposition-prune a whole population at once.
+
+    A :class:`DiagnosisPopulation` is pruned straight from its signature
+    tensor and mask into a new population with the pruned masks and
+    candidates.  A list of :class:`DiagnosisResult` gives a list: it is
+    restacked into one population (or pruned one result at a time when
+    the results come from different partition lists or signature layouts).
 
     Exact-mode results (every nonzero signature is 1) carry no MISR
     signatures to compare and are rejected.
     """
-    results = list(results)
-    if any(result.position_mask is None for result in results):
-        raise ValueError("result carries no position mask")
-    if len({(tuple(map(id, r.partitions)), r.outcomes[0].num_channels)
-            for r in results}) > 1:
-        # One kernel call needs one partition list and signature layout.
-        return [superposition_prune_population([r], scan_config)[0] for r in results]
-    if not results:
-        return []
-    masks = np.stack([result.position_mask for result in results])
+    if not isinstance(population, DiagnosisPopulation):
+        results = list(population)
+        if any(result.position_mask is None for result in results):
+            raise ValueError("result carries no position mask")
+        if len({(tuple(map(id, r.partitions)), r.outcomes[0].num_channels)
+                for r in results}) > 1:
+            return [superposition_prune_population([r], scan_config)[0]
+                    for r in results]
+        if not results:
+            return []
+        return list(superposition_prune_population(
+            DiagnosisPopulation.from_results(results), scan_config))
+    masks = population.masks.copy()
     # Entries are all cells (masks are False off-chain); flat scan: ~5x faster.
     entries = np.unravel_index(np.flatnonzero(masks), masks.shape)
-    keep = ~_pruned_entries(results, masks.shape[1], entries)
+    keep = ~_pruned_entries(population, masks.shape[1], entries)
     masks[entries] = keep
     fault_idx, chain_idx, pos_idx = (index[keep] for index in entries)
-    cells = scan_config.cell_id_grid()[chain_idx, pos_idx]
-    bounds = np.searchsorted(fault_idx, np.arange(len(results) + 1))
-    return [
-        DiagnosisResult(
-            actual_cells=set(result.actual_cells),
-            candidate_cells={int(c) for c in cells[bounds[f]:bounds[f + 1]]},
-            outcomes=list(result.outcomes),
-            partitions=list(result.partitions),
-            candidate_history=list(result.candidate_history),
-            position_mask=masks[f],
-        )
-        for f, result in enumerate(results)
-    ]
+    return DiagnosisPopulation(
+        partitions=population.partitions,
+        signatures=population.signatures,
+        masks=masks,
+        history=population.history,
+        candidates=CellSets(
+            scan_config.cell_id_grid()[chain_idx, pos_idx],
+            np.searchsorted(fault_idx, np.arange(len(population) + 1)),
+        ),
+        actual=population.actual,
+    )
 
 
 def apply_superposition(
@@ -75,20 +82,16 @@ def apply_superposition(
     pruned = superposition_prune_population([result], scan_config)[0]
     if max_rounds < 1:
         pruned.position_mask = result.position_mask.copy()
-        pruned.candidate_cells = _cells_from_mask(scan_config, pruned.position_mask)
+        pruned.candidate_cells = set(result.candidate_cells)
     return pruned
 
 
-def _pruned_entries(results: Sequence[DiagnosisResult], num_chains: int, entries):
+def _pruned_entries(population: DiagnosisPopulation, num_chains: int, entries):
     """Boolean over the mask ``entries`` ``(fault, chain, position)``: True
     where the closed form prunes the entry."""
-    partitions = results[0].partitions
+    partitions = population.partitions
     num_parts = len(partitions)
-    sigs = np.zeros((len(results), num_parts, max(p.num_groups for p in partitions),
-                     results[0].outcomes[0].num_channels), dtype=np.uint64)
-    for f, result in enumerate(results):
-        for p, outcome in enumerate(result.outcomes):
-            sigs[f, p, : outcome.num_groups] = outcome.signature_matrix
+    sigs = population.signatures
     if ((sigs != 0).any(axis=(1, 2, 3)) & ~(sigs > 1).any(axis=(1, 2, 3))).any():
         raise ValueError("superposition pruning needs MISR signatures; run "
                          "diagnosis with a LinearCompactor instead of exact mode")

@@ -131,7 +131,6 @@ def diagnose_vectors_population(
     scan_config: ScanConfig,
     partitions: Sequence[Partition],
     compactor: Optional[LinearCompactor] = None,
-    chunk: Optional[int] = None,
 ) -> List[VectorDiagnosisResult]:
     """Identify failing vectors for a whole fault population in one scatter.
 
@@ -142,20 +141,16 @@ def diagnose_vectors_population(
     ``(fault, partition, group, 1)`` tensor (shared
     :func:`~repro.core.diagnosis_batch.scatter_population_signatures`)
     yields every session verdict.  Bit-identical to calling
-    :func:`diagnose_vectors` per response; gated by the same
-    ``REPRO_DIAGNOSIS_BATCH`` knob (``0`` falls back to the per-fault
-    loop, as do scalar-only compactors and mixed pattern counts).
+    :func:`diagnose_vectors` per response, which scalar-only compactors
+    and mixed pattern counts fall back to.
     """
-    from .diagnosis_batch import resolve_diagnosis_chunk
-
     responses = list(responses)
     partitions = list(partitions)
     if not responses:
         return []
-    chunk = resolve_diagnosis_chunk(chunk)
     batched = compactor is None or hasattr(compactor, "batch_impulse_responses")
     uniform = len({r.num_patterns for r in responses}) <= 1
-    if chunk == 0 or not batched or not uniform:
+    if not batched or not uniform:
         METRICS.incr("diagnosis.perfault_faults", len(responses))
         return [
             diagnose_vectors(response, scan_config, partitions, compactor)
@@ -167,14 +162,7 @@ def diagnose_vectors_population(
             f"partition length {partitions[0].length} != number of patterns "
             f"{responses[0].num_patterns}"
         )
-    results: List[VectorDiagnosisResult] = []
-    for lo in range(0, len(responses), chunk):
-        results.extend(
-            _diagnose_vectors_chunk(
-                responses[lo:lo + chunk], scan_config, partitions, compactor
-            )
-        )
-    return results
+    return _diagnose_vectors_chunk(responses, scan_config, partitions, compactor)
 
 
 def _diagnose_vectors_chunk(

@@ -25,7 +25,8 @@ import numpy as np
 
 from ..bist.misr import LinearCompactor
 from ..core.binary_search import binary_search_diagnose
-from ..core.diagnosis import diagnose, diagnostic_resolution
+from ..core.diagnosis import diagnostic_resolution
+from ..core.diagnosis_batch import diagnose_population
 from .config import ExperimentConfig, default_config
 from .reporting import render_table
 from .runner import build_circuit_workload, evaluate_scheme, scheme_partitions
@@ -158,10 +159,9 @@ def run_aliasing_ablation(
         ]
     )
     for label, compactor in modes:
-        results = [
-            diagnose(response, workload.scan_config, partitions, compactor)
-            for response in workload.responses
-        ]
+        results = diagnose_population(
+            workload.responses, workload.scan_config, partitions, compactor
+        )
         violations = sum(1 for r in results if r.detected and not r.sound)
         rows.append([label, diagnostic_resolution(results), violations])
     return AliasingAblation(circuit, rows)

@@ -163,19 +163,23 @@ def warm_from_disk(
 ) -> int:
     """Bulk-load disk-tier entries into the memo store.
 
-    Loads every readable entry of the requested kinds (default: all
-    persisted kinds), stopping once ``max_bytes`` of estimated resident
-    memory is reached.  Returns the number of entries seeded.  Unreadable
-    entries and unparsable keys are skipped with a log line — a corrupt
-    cache directory degrades to a cold start, never an error.
+    Drops the entries other source wrote
+    (:func:`~repro.experiments.cache_disk.evict_stale`), then loads every
+    readable entry of the requested kinds (default: all persisted
+    kinds) that this source tree produced, stopping once
+    ``max_bytes`` of estimated resident memory is reached.  Returns the
+    number of entries seeded.  Unreadable entries and unparsable keys are
+    skipped with a log line — a corrupt cache directory degrades to a cold
+    start, never an error.
     """
     if not cache_enabled():
         return 0
     wanted = set(kinds) if kinds is not None else set(cache_disk.DISK_KINDS)
+    cache_disk.evict_stale()
     loaded = 0
     for path, meta in cache_disk.iter_entries():
         kind = meta.get("kind")
-        if kind not in wanted:
+        if kind not in wanted or meta.get("source") != cache_disk.source_digest():
             continue
         if max_bytes is not None and total_bytes() >= max_bytes:
             log(f"cache: disk warm-up stopped at {total_bytes()} B "

@@ -27,8 +27,11 @@ Writes are atomic and multi-writer safe (pid-tagged ``O_EXCL`` temp file
 + ``os.replace``) so concurrent processes — cluster workers warming the
 same circuits included — can share one cache directory; losing a write
 race to a sibling is a benign hit (``cache.disk.races``), since the
-digest covers the kind, the full memo key and the schema version and any
-config change simply misses.  Corrupt,
+digest covers the kind, the full memo key, the schema version and the
+source of the ``repro`` package that produced the entry: any config or
+code change simply misses, so an entry built by older code is never
+served.  Such entries can never hit again, so the first write or
+warm-up of a process unlinks them (:func:`evict_stale`).  Corrupt,
 truncated or stale-format files are treated as misses, counted
 (``cache.disk.errors``) and quarantined — never a traceback.
 """
@@ -36,6 +39,7 @@ truncated or stale-format files are treated as misses, counted
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import json
 import mmap
@@ -70,6 +74,7 @@ _PREAMBLE = struct.Struct("<4sII")  # magic, format version, header length
 _LOCK = threading.Lock()
 _STATS = {"hits": 0, "misses": 0, "errors": 0, "races": 0,
           "bytes_read": 0, "bytes_written": 0}
+_SWEPT: set = set()  # (root, source digest) pairs evict_stale has swept
 
 
 class DiskCacheError(Exception):
@@ -88,14 +93,29 @@ def enabled_for(kind: str) -> bool:
     return kind in DISK_KINDS and cache_dir() is not None
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """Digest of every ``.py`` file of the ``repro`` package (paths and
+    contents), computed once per process: the identity of the code that
+    produces cache entries."""
+    package = Path(__file__).resolve().parent.parent
+    hasher = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        hasher.update(str(path.relative_to(package)).encode("utf-8"))
+        hasher.update(path.read_bytes())
+    return hasher.hexdigest()[:16]
+
+
 def key_digest(kind: str, key: Hashable) -> str:
-    """Content address: kind + schema version + the full memo key.
+    """Content address: kind + schema version + producer source digest +
+    the full memo key.
 
     Memo keys are tuples of primitives with stable ``repr`` (circuit
     names, scales, seeds, chain tuples — see ``experiments.cache``), so
-    the digest is deterministic across processes and machines.
+    the digest is deterministic across processes and machines running
+    the same source.
     """
-    raw = f"{kind}|schema{SCHEMA_VERSION}|{key!r}"
+    raw = f"{kind}|schema{SCHEMA_VERSION}|src{source_digest()}|{key!r}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:40]
 
 
@@ -191,6 +211,7 @@ def store(kind: str, key: Hashable, value: Any) -> bool:
         return False
     try:
         root.mkdir(parents=True, exist_ok=True)
+        evict_stale(root)
         buffers: List[pickle.PickleBuffer] = []
         stream = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
         raw_buffers = [buf.raw() for buf in buffers]
@@ -198,6 +219,7 @@ def store(kind: str, key: Hashable, value: Any) -> bool:
             "kind": kind,
             "key": repr(key),
             "schema": SCHEMA_VERSION,
+            "source": source_digest(),
             "created": time.time(),
             "pickle_len": len(stream),
             "buffer_lens": [raw.nbytes for raw in raw_buffers],
@@ -244,6 +266,19 @@ def store(kind: str, key: Hashable, value: Any) -> bool:
         METRICS.incr("cache.disk.errors", 1, labels={"kind": kind})
         log(f"disk cache: write failed for kind={kind}: {exc!r}")
         return False
+
+
+def evict_stale(root: Optional[Path] = None) -> None:
+    """Unlink the entries other ``repro`` source wrote (they can only
+    miss); once per process, directory and source digest."""
+    root = root or cache_dir()
+    if root is None or (str(root), source_digest()) in _SWEPT:
+        return
+    _SWEPT.add((str(root), source_digest()))
+    for path, meta in iter_entries(root):
+        if meta.get("source") != source_digest():
+            _unlink_quietly(path)
+            METRICS.incr("cache.disk.evictions")
 
 
 # -- inspection / warm-up -----------------------------------------------------

@@ -24,7 +24,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..bist.misr import LinearCompactor
-from ..core.diagnosis import diagnose, diagnostic_resolution
+from ..core.diagnosis import diagnostic_resolution
+from ..core.diagnosis_batch import diagnose_population
 from ..sim.error_injection import inject_clustered_errors, inject_random_errors
 from .config import ExperimentConfig, default_config
 from .reporting import render_table
@@ -96,10 +97,9 @@ def run_error_model_ablation(
                 num_partitions,
                 lfsr_degree=config.lfsr_degree,
             )
-            results = [
-                diagnose(response, workload.scan_config, partitions, compactor)
-                for response in responses
-            ]
+            results = diagnose_population(
+                responses, workload.scan_config, partitions, compactor
+            )
             drs.append(diagnostic_resolution(results))
         rows.append([label, mean_fails, drs[0], drs[1]])
     return ErrorModelAblation(circuit, rows)

@@ -20,7 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..bist.misr import LinearCompactor
-from ..core.diagnosis import diagnose, diagnostic_resolution
+from ..core.diagnosis import diagnostic_resolution
+from ..core.diagnosis_batch import diagnose_population
 from ..core.ordering import random_scan_order, response_span
 from ..core.two_step import make_partitioner
 from ..core.vector_diagnosis import (
@@ -126,10 +127,9 @@ def run_scan_order_ablation(
                 num_partitions,
                 lfsr_degree=config.lfsr_degree,
             )
-            results = [
-                diagnose(response, scan_config, partitions, compactor)
-                for response in workload.responses
-            ]
+            results = diagnose_population(
+                workload.responses, scan_config, partitions, compactor
+            )
             drs.append(diagnostic_resolution(results))
         rows.append([label, float(np.mean(spans)), drs[0], drs[1]])
     return ScanOrderExperiment(circuit, rows)
@@ -183,10 +183,9 @@ def run_diagnosis_time(
                 max_partitions,
                 lfsr_degree=config.lfsr_degree,
             )
-            results = [
-                diagnose(response, soc.scan_config, partitions, compactor)
-                for response in workload.responses
-            ]
+            results = diagnose_population(
+                workload.responses, soc.scan_config, partitions, compactor
+            )
             cycles[scheme] = cycles_to_reach_dr(
                 results,
                 target_dr,
@@ -343,10 +342,9 @@ def run_multi_core(
             num_partitions,
             lfsr_degree=config.lfsr_degree,
         )
-        results = [
-            diagnose(response, soc.scan_config, partitions, compactor)
-            for response in merged
-            if response.detected
-        ]
+        results = diagnose_population(
+            [response for response in merged if response.detected],
+            soc.scan_config, partitions, compactor,
+        )
         rows.append([scheme, diagnostic_resolution(results)])
     return MultiCoreExperiment(soc.name, core_pair, rows)

@@ -10,13 +10,13 @@ across all faults, exactly as the hardware would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..bist.misr import LinearCompactor
 from ..bist.scan import ScanConfig
-from ..core.diagnosis import DiagnosisResult, diagnostic_resolution
+from ..core.diagnosis import DiagnosisPopulation, DiagnosisResult, diagnostic_resolution
 from ..core.diagnosis_batch import diagnose_population
 from ..core.partitions import Partition
 from ..core.superposition import superposition_prune_population
@@ -173,13 +173,20 @@ def scheme_partitions(
 
 @dataclass
 class SchemeEvaluation:
-    """DR (and optionally pruned DR) of one scheme over one workload."""
+    """DR (and optionally pruned DR) of one scheme over one workload.
+
+    ``results`` and ``pruned_results`` are the kernel's populations;
+    indexing or iterating them yields per-fault :class:`DiagnosisResult`
+    views.  ``pruned_results`` is empty without pruning.
+    """
 
     scheme: str
     dr: float
     dr_pruned: Optional[float]
-    results: List[DiagnosisResult] = field(repr=False, default_factory=list)
-    pruned_results: List[DiagnosisResult] = field(repr=False, default_factory=list)
+    results: Union[DiagnosisPopulation, List[DiagnosisResult]] = field(
+        repr=False, default_factory=list)
+    pruned_results: Union[DiagnosisPopulation, List[DiagnosisResult]] = field(
+        repr=False, default_factory=list)
 
 
 def evaluate_scheme(
@@ -195,13 +202,12 @@ def evaluate_scheme(
 ) -> SchemeEvaluation:
     """Diagnose every sampled fault of the workload under one scheme.
 
-    The whole population goes through the fused diagnosis kernel
-    (:func:`repro.core.diagnosis_batch.diagnose_population`; gated by
-    ``REPRO_DIAGNOSIS_BATCH``).  Faults diagnose independently, so
-    ``workers > 1`` fans the population's chunks out over a fork-based
-    process pool (``workers=None`` reads ``REPRO_WORKERS``, default
-    serial).  Results and DR are bit-identical to the per-fault serial
-    loop for any chunk size and worker count.
+    The whole population goes through the population diagnosis kernel
+    (:func:`repro.core.diagnosis_batch.diagnose_population`), and DR and
+    superposition pruning read its arrays.  Faults diagnose
+    independently, so ``workers > 1`` splits the population over a
+    fork-based process pool (``workers=None`` reads ``REPRO_WORKERS``,
+    default serial).  Results and DR are identical for any worker count.
     """
     partitions = scheme_partitions(
         scheme,
@@ -229,7 +235,7 @@ def evaluate_scheme(
     with span("dr.score", scheme=scheme, workload=workload.name):
         dr = diagnostic_resolution(results)
     dr_pruned = None
-    pruned_results: List[DiagnosisResult] = []
+    pruned_results: Union[DiagnosisPopulation, List[DiagnosisResult]] = []
     if with_pruning:
         with span("superposition.prune", scheme=scheme, workload=workload.name):
             pruned_results = superposition_prune_population(results, workload.scan_config)

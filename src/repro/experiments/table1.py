@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import List
 
 from ..bist.misr import LinearCompactor
-from ..core.diagnosis import diagnose, dr_by_partition_count
-from ..parallel import parallel_map
+from ..core.diagnosis import dr_by_partition_count
+from ..core.diagnosis_batch import diagnose_population
 from ..telemetry import METRICS, span
 from .config import ExperimentConfig, PAPER_PATTERNS_TABLE1, default_config
 from .reporting import render_table
@@ -72,11 +72,8 @@ def run_table1(config: ExperimentConfig = None) -> Table1Result:
         )
         with span("diagnose", scheme=scheme, workload=CIRCUIT) as sp:
             responses = workload.responses
-            results = parallel_map(
-                lambda i: diagnose(
-                    responses[i], workload.scan_config, partitions, compactor
-                ),
-                len(responses),
+            results = diagnose_population(
+                responses, workload.scan_config, partitions, compactor
             )
             sp.add("faults", len(results))
             METRICS.incr("diagnosis.faults", len(results))

@@ -5,11 +5,12 @@ requests that share a :meth:`~repro.service.protocol.DiagnoseRequest.workload_ke
 it resolves the compiled workload (netlist, golden simulation, sampled
 fault responses), the partition set and the compactor **once** — all three
 through :mod:`repro.experiments.cache`, so they stay hot across batches —
-then diagnoses the whole batch in one fused kernel launch
-(:func:`repro.core.diagnosis_batch.diagnose_population`; chunked and
-forked over the pool only when the batch outgrows the chunk bound).
-Results are bit-identical to calling
-:func:`repro.core.diagnosis.diagnose` per request, serial or forked.
+then diagnoses the whole batch in one population kernel launch
+(:func:`repro.core.diagnosis_batch.diagnose_population`; split over the
+fork pool only past the kernel's ``MIN_CHUNK_FAULTS`` faults per worker).
+Replies are read straight from the population's arrays and are identical
+to calling :func:`repro.core.diagnosis.diagnose` per request, serial or
+forked.
 
 Graceful degradation: if the fork pool dies mid-batch (OOM-killed child,
 ``BrokenProcessPool``), the engine logs it, re-runs the batch serially,
@@ -35,7 +36,7 @@ import numpy as np
 
 from ..bist.misr import LinearCompactor
 from ..bist.scan import ScanConfig
-from ..core.diagnosis import DiagnosisResult
+from ..core.diagnosis import DiagnosisPopulation
 from ..core.diagnosis_batch import diagnose_population
 from ..core.partitions import Partition
 from ..experiments import cache
@@ -219,20 +220,23 @@ class DiagnosisEngine:
                 [responses[i] for i in live], context, requests[0],
                 self._live_traces(traces, live),
             )
-            for slot, outcome in zip(live, diagnosed):
-                request = requests[slot]
-                if isinstance(outcome, ServiceError):
-                    results[slot] = outcome
-                else:
+            if isinstance(diagnosed, ServiceError):
+                for slot in live:
+                    results[slot] = diagnosed
+            else:
+                for f, slot in enumerate(live):
+                    request = requests[slot]
+                    candidates = np.sort(diagnosed.candidates.of(f)).tolist()
+                    actual = diagnosed.actual.of(f).tolist()
                     results[slot] = DiagnoseReply(
                         request_id=request.request_id,
                         circuit=request.circuit,
                         scheme=request.scheme,
-                        candidate_cells=sorted(outcome.candidate_cells),
-                        actual_cells=sorted(outcome.actual_cells),
-                        sound=outcome.sound,
-                        num_sessions=outcome.num_sessions,
-                        candidate_history=list(outcome.candidate_history),
+                        candidate_cells=candidates,
+                        actual_cells=actual,
+                        sound=set(actual) <= set(candidates),
+                        num_sessions=diagnosed.num_sessions,
+                        candidate_history=diagnosed.history[:, f].tolist(),
                     )
         METRICS.incr("service.diagnosed", len(live))
         return results  # type: ignore[return-value]
@@ -284,7 +288,7 @@ class DiagnosisEngine:
         context: WorkloadContext,
         head: DiagnoseRequest,
         trace_pairs: List[Tuple[str, str]],
-    ) -> List[Union[DiagnosisResult, ServiceError]]:
+    ) -> Union[DiagnosisPopulation, ServiceError]:
         """Run the batch, recording one flight span linked to every member
         trace and installing the trace context for the fork fan-out."""
         if not trace_pairs or not FLIGHT.enabled:
@@ -294,8 +298,8 @@ class DiagnosisEngine:
         start_wall = time.time()
         t0 = time.perf_counter()
         with trace_scope(head_trace, batch_span):
-            outcomes = self._diagnose_many(responses, context, head)
-        failed = sum(1 for o in outcomes if isinstance(o, ServiceError))
+            outcome = self._diagnose_many(responses, context, head)
+        failed = isinstance(outcome, ServiceError)
         FLIGHT.record(make_record(
             "service.batch", head_trace, batch_span,
             parent_id=head_span, kind="batch",
@@ -309,26 +313,25 @@ class DiagnosisEngine:
             circuit=head.circuit,
             scheme=head.scheme,
         ))
-        return outcomes
+        return outcome
 
     def _diagnose_many(
         self,
         responses: List[FaultResponse],
         context: WorkloadContext,
         head: DiagnoseRequest,
-    ) -> List[Union[DiagnosisResult, ServiceError]]:
-        """One fused kernel launch per coalesced batch.
+    ) -> Union[DiagnosisPopulation, ServiceError]:
+        """One population kernel launch per coalesced batch.
 
         The whole batch goes through
         :func:`repro.core.diagnosis_batch.diagnose_population` — a dynamic
         batch is exactly a fault population sharing one workload, so the
-        per-request ``parallel_map`` fan-out collapses into a single
-        signature scatter (chunked and forked only when the batch outgrows
-        ``REPRO_DIAGNOSIS_BATCH``).
+        per-request fan-out collapses into a single signature scatter.  A
+        failure of the serial retry is one error for every member.
         """
         scan = context.scan_config
 
-        def run(workers: int) -> List[DiagnosisResult]:
+        def run(workers: int) -> DiagnosisPopulation:
             return diagnose_population(
                 responses, scan, context.partitions, context.compactor,
                 workers=workers,
@@ -348,5 +351,4 @@ class DiagnosisEngine:
                 return run(0)
             except Exception as exc:  # noqa: BLE001 - request-level boundary
                 log(f"service: serial fallback failed: {exc!r}")
-                error = ServiceError("internal_error", f"diagnosis failed: {exc}")
-                return [error for _ in responses]
+                return ServiceError("internal_error", f"diagnosis failed: {exc}")

@@ -40,6 +40,7 @@ ERROR_STATUS: Dict[str, int] = {
     "circuit_not_found": 404,   # unknown benchmark name
     "no_such_route": 404,       # unknown URL path
     "method_not_allowed": 405,  # e.g. GET /diagnose
+    "request_timeout": 408,     # request not fully received in time
     "queue_full": 429,          # admission control rejected (Retry-After set)
     "internal_error": 500,      # unexpected server-side failure
     "shutting_down": 503,       # server is draining (SIGTERM received)

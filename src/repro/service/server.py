@@ -86,10 +86,16 @@ from .protocol import DiagnoseReply, DiagnoseRequest, ServiceError
 DEFAULT_PORT = 8953
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Seconds a client has, from the first byte of a request, to deliver the
+#: rest of its headers and body.  A request that stalls past it gets a
+#: 408 and its connection closes.  An idle keep-alive connection (no byte
+#: of a next request yet) is not timed.
+READ_DEADLINE_S = 30.0
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 429: "Too Many Requests",
+    405: "Method Not Allowed", 408: "Request Timeout",
+    429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -129,6 +135,19 @@ _Body = Union[Dict[str, Any], Tuple[bytes, str]]
 
 class _BadHttp(Exception):
     """Unparseable request framing — respond 400 and close."""
+
+
+class _ReadTimeout(Exception):
+    """A request that stalled past :data:`READ_DEADLINE_S` — 408, close."""
+
+
+def _expire_read(reader: asyncio.StreamReader,
+                 transport: asyncio.BaseTransport, expired: List[bool]) -> None:
+    """End a stalled request's reads: stop taking bytes from the socket
+    and give the reader EOF, so the pending read returns or fails now."""
+    expired.append(True)
+    transport.pause_reading()
+    reader.feed_eof()
 
 
 class DiagnosisServer:
@@ -311,9 +330,16 @@ class DiagnosisServer:
         try:
             while True:
                 try:
-                    parsed = await self._read_request(reader)
+                    parsed = await self._read_request(reader, writer.transport)
                 except _BadHttp as exc:
                     error = ServiceError("malformed_payload", str(exc))
+                    await self._write_response(
+                        writer, error.status, error.to_payload(), close=True)
+                    break
+                except _ReadTimeout:
+                    error = ServiceError(
+                        "request_timeout",
+                        f"request not received within {READ_DEADLINE_S:g} s")
                     await self._write_response(
                         writer, error.status, error.to_payload(), close=True)
                     break
@@ -340,11 +366,33 @@ class DiagnosisServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, transport: asyncio.BaseTransport
     ) -> Optional[Tuple[str, str, str, Dict[str, str], bytes]]:
-        request_line = await reader.readline()
-        if not request_line:
+        """The next request, or None at a clean EOF between requests.
+
+        One timer per request, armed at its first byte, enforces
+        :data:`READ_DEADLINE_S` over the rest of its reads.
+        """
+        try:
+            first = await reader.readexactly(1)
+        except asyncio.IncompleteReadError:
             return None
+        expired: List[bool] = []
+        timer = asyncio.get_running_loop().call_later(
+            READ_DEADLINE_S, _expire_read, reader, transport, expired)
+        try:
+            return await self._parse_request(first, reader)
+        except (_BadHttp, asyncio.IncompleteReadError):
+            if expired:
+                raise _ReadTimeout() from None
+            raise
+        finally:
+            timer.cancel()
+
+    async def _parse_request(
+        self, first: bytes, reader: asyncio.StreamReader
+    ) -> Tuple[str, str, str, Dict[str, str], bytes]:
+        request_line = first + await reader.readline()
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
             raise _BadHttp("malformed request line")

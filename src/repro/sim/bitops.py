@@ -69,11 +69,19 @@ if hasattr(np, "bitwise_count"):  # numpy >= 2
         """Number of set bits across the whole word vector."""
         return int(np.bitwise_count(vec).sum())
 
+    def popcount_rows(matrix: np.ndarray) -> np.ndarray:
+        """Number of set bits in each row of a 2-D word matrix."""
+        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
+
 else:
 
     def popcount(vec: np.ndarray) -> int:
         """Number of set bits across the whole word vector."""
         return int(_BYTE_POPCOUNT[vec.view(np.uint8)].sum())
+
+    def popcount_rows(matrix: np.ndarray) -> np.ndarray:
+        """Number of set bits in each row of a 2-D word matrix."""
+        return _BYTE_POPCOUNT[matrix.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
 def any_bit(vec: np.ndarray) -> bool:

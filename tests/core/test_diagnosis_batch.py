@@ -1,9 +1,9 @@
-"""Equivalence tests for the population-fused diagnosis kernel (PR 9).
+"""Equivalence tests for the population diagnosis kernel.
 
-The fused kernel is a pure optimization: for any chunk size, worker
-count, compactor and channel-resolution setting it must return
-bit-identical :class:`DiagnosisResult` objects to the per-fault
-:func:`repro.core.diagnosis.diagnose` oracle.
+The kernel is a pure optimization: for any worker count, compactor and
+channel-resolution setting it must return bit-identical
+:class:`DiagnosisResult` views to the per-fault session loop kept in
+``tests/reference/diagnosis.py``.
 """
 
 import numpy as np
@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from repro.bist.misr import LinearCompactor
 from repro.bist.scan import ScanConfig
 from repro.bist.session import collect_error_event_arrays, collect_population_events
-from repro.core.diagnosis import diagnose, diagnostic_resolution
-from repro.core.diagnosis_batch import (
-    DEFAULT_CHUNK,
-    diagnose_population,
-    resolve_diagnosis_chunk,
+from repro.core.diagnosis import (
+    DiagnosisPopulation,
+    diagnose,
+    diagnostic_resolution,
+    dr_by_partition_count,
 )
+from repro.core import diagnosis_batch
+from repro.core.diagnosis_batch import diagnose_population
 from repro.core.superposition import superposition_prune_population
 from repro.core.two_step import make_partitioner
 from repro.core.vector_diagnosis import (
@@ -31,6 +33,8 @@ from repro.experiments.runner import build_circuit_workload, scheme_partitions
 from repro.sim.bitops import pack_bits
 from repro.sim.faults import Fault
 from repro.sim.faultsim import FaultResponse
+from repro.telemetry.export import ENV_KNOBS
+from tests.reference.diagnosis import diagnose as reference_diagnose
 
 #: s27 is a real netlist (cannot be scaled); the synthetic benchmarks run
 #: shrunk so the three-circuit sweep stays fast.
@@ -68,6 +72,17 @@ def assert_results_identical(oracle, fused):
         assert len(a.outcomes) == len(b.outcomes)
         for oa, ob in zip(a.outcomes, b.outcomes):
             assert oa.signatures == ob.signatures
+
+
+def diagnose_in_chunks(responses, chunk, *args, **kwargs):
+    """Diagnose consecutive slices of ``chunk`` faults and join them, the
+    way the fork pool reassembles its workers' populations."""
+    partitions = list(args[1])
+    parts = [
+        diagnose_population(responses[lo:lo + chunk], *args, **kwargs)
+        for lo in range(0, len(responses), chunk)
+    ]
+    return DiagnosisPopulation.concat(parts, partitions)
 
 
 def random_response(rng, num_cells, num_patterns, max_cells=5):
@@ -116,7 +131,7 @@ class TestFusedEquivalence:
             compactor_kind, config, workload.scan_config.num_chains
         )
         oracle = [
-            diagnose(r, workload.scan_config, partitions, compactor)
+            reference_diagnose(r, workload.scan_config, partitions, compactor)
             for r in workload.responses
         ]
         fused = diagnose_population(
@@ -125,6 +140,8 @@ class TestFusedEquivalence:
         )
         assert_results_identical(oracle, fused)
         assert diagnostic_resolution(oracle) == diagnostic_resolution(fused)
+        assert (dr_by_partition_count(oracle, 7)
+                == dr_by_partition_count(fused, 7))
 
     @pytest.mark.parametrize("compactor_kind", ["exact", "misr"])
     def test_channel_resolution_off(self, rng, compactor_kind):
@@ -135,7 +152,8 @@ class TestFusedEquivalence:
             compactor_kind, ExperimentConfig(), config.num_chains
         )
         oracle = [
-            diagnose(r, config, partitions, compactor, channel_resolution=False)
+            reference_diagnose(r, config, partitions, compactor,
+                               channel_resolution=False)
             for r in responses
         ]
         fused = diagnose_population(
@@ -145,37 +163,64 @@ class TestFusedEquivalence:
         assert_results_identical(oracle, fused)
 
     def test_chunked_matches_unchunked(self):
+        """Faults diagnose independently: slices of the population, joined,
+        equal the whole population."""
         workload, partitions, config = circuit_population("s953")
         compactor = make_compactor("misr", config, workload.scan_config.num_chains)
         whole = diagnose_population(
             workload.responses, workload.scan_config, partitions, compactor,
-            chunk=1000, workers=0,
+            workers=0,
         )
         for chunk in (1, 3, 7):
-            chunked = diagnose_population(
-                workload.responses, workload.scan_config, partitions, compactor,
-                chunk=chunk, workers=0,
+            chunked = diagnose_in_chunks(
+                workload.responses, chunk, workload.scan_config, partitions,
+                compactor, workers=0,
             )
             assert_results_identical(whole, chunked)
+            np.testing.assert_array_equal(whole.signatures, chunked.signatures)
+            np.testing.assert_array_equal(whole.history, chunked.history)
 
-    def test_forked_matches_serial(self):
+    def test_forked_matches_serial(self, monkeypatch):
+        # Populations this small never fork at the measured threshold;
+        # drop it so every worker gets a chunk.
+        monkeypatch.setattr(diagnosis_batch, "MIN_CHUNK_FAULTS", 1)
         workload, partitions, config = circuit_population("s953")
+        assert len(workload.responses) >= 8  # large enough to split
         compactor = make_compactor("misr", config, workload.scan_config.num_chains)
         serial = diagnose_population(
             workload.responses, workload.scan_config, partitions, compactor,
-            chunk=3, workers=0,
+            workers=0,
         )
-        forked = diagnose_population(
-            workload.responses, workload.scan_config, partitions, compactor,
-            chunk=3, workers=2,
-        )
-        assert_results_identical(serial, forked)
+        for workers in (2, 3):
+            forked = diagnose_population(
+                workload.responses, workload.scan_config, partitions,
+                compactor, workers=workers,
+            )
+            assert_results_identical(serial, forked)
+            assert forked.partitions == serial.partitions
+
+    def test_forks_only_from_min_chunk_faults_per_worker(self, monkeypatch):
+        workload, partitions, config = circuit_population("s953")
+        calls = []
+
+        def recording_map(task, num_items, workers, min_items):
+            calls.append(num_items)
+            return [task(i) for i in range(num_items)]
+
+        monkeypatch.setattr(diagnosis_batch, "parallel_map", recording_map)
+        responses = workload.responses[:8]
+        for threshold, chunks in ((diagnosis_batch.MIN_CHUNK_FAULTS, []),
+                                  (5, []), (4, [2]), (2, [3])):
+            monkeypatch.setattr(diagnosis_batch, "MIN_CHUNK_FAULTS", threshold)
+            calls.clear()
+            diagnose_population(responses, workload.scan_config, partitions,
+                                None, workers=3)
+            assert calls == chunks, threshold
 
     def test_empty_population(self):
         workload, partitions, _ = circuit_population("s27")
-        assert diagnose_population(
-            [], workload.scan_config, partitions, None
-        ) == []
+        empty = diagnose_population([], workload.scan_config, partitions, None)
+        assert len(empty) == 0 and list(empty) == []
 
     def test_undetected_fault_in_population(self):
         workload, partitions, config = circuit_population("s27")
@@ -183,7 +228,7 @@ class TestFusedEquivalence:
         silent = FaultResponse(Fault("silent", 0), {}, workload.num_patterns)
         population = [silent] + list(workload.responses) + [silent]
         oracle = [
-            diagnose(r, workload.scan_config, partitions, compactor)
+            reference_diagnose(r, workload.scan_config, partitions, compactor)
             for r in population
         ]
         fused = diagnose_population(
@@ -194,6 +239,9 @@ class TestFusedEquivalence:
         assert fused[0].candidate_history[-1] == 0
 
     def test_scalar_only_compactor_falls_back(self):
+        """The reference loop falls back to the scalar ``impulse_response``
+        protocol for a compactor without the batch one, and still agrees
+        with the kernel run on the batch-capable compactor."""
         workload, partitions, config = circuit_population("s27")
         inner = LinearCompactor(config.misr_width, workload.scan_config.num_chains)
 
@@ -205,29 +253,43 @@ class TestFusedEquivalence:
                 return inner.impulse_response(channel, steps)
 
         fused = diagnose_population(
-            workload.responses, workload.scan_config, partitions, ScalarOnly(),
+            workload.responses, workload.scan_config, partitions, inner,
             workers=0,
         )
         oracle = [
-            diagnose(r, workload.scan_config, partitions, inner)
+            reference_diagnose(r, workload.scan_config, partitions, ScalarOnly())
             for r in workload.responses
         ]
-        for a, b in zip(oracle, fused):
-            assert a.candidate_cells == b.candidate_cells
-            assert a.candidate_history == b.candidate_history
+        assert_results_identical(oracle, fused)
 
-    def test_mixed_pattern_counts_fall_back(self, rng):
+    def test_mixed_pattern_counts_match_oracle(self, rng):
         config = ScanConfig.single_chain(20)
         partitions = make_partitioner("two-step", config.max_length, 4).partitions(3)
         responses = [
             random_response(rng, 20, 16),
             random_response(rng, 20, 32),
+            random_response(rng, 20, 100),
         ]
-        fused = diagnose_population(responses, config, partitions, None, workers=0)
-        oracle = [diagnose(r, config, partitions, None) for r in responses]
-        assert_results_identical(oracle, fused)
+        for compactor in (None, LinearCompactor(16, 1)):
+            fused = diagnose_population(responses, config, partitions,
+                                        compactor, workers=0)
+            oracle = [reference_diagnose(r, config, partitions, compactor)
+                      for r in responses]
+            assert_results_identical(oracle, fused)
 
-    def test_env_zero_selects_per_fault_path(self, monkeypatch):
+    def test_one_fault_diagnose_is_the_population_kernel(self, rng):
+        config = ScanConfig.balanced(24, 3)
+        partitions = make_partitioner("random", config.max_length, 4).partitions(3)
+        response = random_response(rng, 24, 16)
+        compactor = LinearCompactor(16, 3)
+        assert_results_identical(
+            [reference_diagnose(response, config, partitions, compactor)],
+            [diagnose(response, config, partitions, compactor)],
+        )
+
+    def test_stale_env_knob_is_ignored(self, monkeypatch):
+        """The removed ``REPRO_DIAGNOSIS_BATCH`` chunk knob no longer
+        changes anything and is not listed as a knob."""
         workload, partitions, _ = circuit_population("s27")
         monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "0")
         via_env = diagnose_population(
@@ -238,6 +300,7 @@ class TestFusedEquivalence:
             workload.responses, workload.scan_config, partitions, None, workers=0
         )
         assert_results_identical(via_env, fused)
+        assert "REPRO_DIAGNOSIS_BATCH" not in ENV_KNOBS
 
 
 class TestRaggedChains:
@@ -265,13 +328,13 @@ class TestRaggedChains:
             compactor_kind, ExperimentConfig(), self.SCAN.num_chains
         )
         oracle = [
-            diagnose(r, self.SCAN, partitions, compactor,
-                     channel_resolution=channel_resolution)
+            reference_diagnose(r, self.SCAN, partitions, compactor,
+                               channel_resolution=channel_resolution)
             for r in responses
         ]
-        fused = diagnose_population(
-            responses, self.SCAN, partitions, compactor,
-            channel_resolution=channel_resolution, chunk=chunk, workers=0,
+        fused = diagnose_in_chunks(
+            responses, chunk, self.SCAN, partitions, compactor,
+            channel_resolution=channel_resolution, workers=0,
         )
         assert_results_identical(oracle, fused)
 
@@ -284,13 +347,13 @@ class TestRaggedChains:
             channel_resolution=channel_resolution, workers=0,
         )
         per_fault = [
-            diagnose(r, self.SCAN, partitions, compactor,
-                     channel_resolution=channel_resolution)
+            reference_diagnose(r, self.SCAN, partitions, compactor,
+                               channel_resolution=channel_resolution)
             for r in responses
         ]
         pruned = superposition_prune_population(fused, self.SCAN)
         absent = ~self.SCAN.presence_mask()
-        for r in fused + per_fault + pruned:
+        for r in list(fused) + per_fault + list(pruned):
             assert not (r.position_mask & absent).any()
 
 
@@ -339,14 +402,12 @@ class TestFusedVectorDiagnosis:
         oracle = [
             diagnose_vectors(r, config, partitions, compactor) for r in responses
         ]
-        for chunk in (None, 2, 1000):
-            fused = diagnose_vectors_population(
-                responses, config, partitions, compactor, chunk=chunk
-            )
-            for a, b in zip(oracle, fused):
-                assert a.actual_vectors == b.actual_vectors
-                assert a.candidate_vectors == b.candidate_vectors
-                assert a.candidate_history == b.candidate_history
+        fused = diagnose_vectors_population(responses, config, partitions, compactor)
+        assert len(fused) == len(oracle)
+        for a, b in zip(oracle, fused):
+            assert a.actual_vectors == b.actual_vectors
+            assert a.candidate_vectors == b.candidate_vectors
+            assert a.candidate_history == b.candidate_history
 
     def test_undetected_fault(self, rng):
         config, responses, partitions = self.vector_setup(rng)
@@ -360,48 +421,3 @@ class TestFusedVectorDiagnosis:
     def test_empty_population(self, rng):
         config, _, partitions = self.vector_setup(rng)
         assert diagnose_vectors_population([], config, partitions, None) == []
-
-
-class TestResolveDiagnosisChunk:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DIAGNOSIS_BATCH", raising=False)
-        assert resolve_diagnosis_chunk() == DEFAULT_CHUNK
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "0")
-        assert resolve_diagnosis_chunk() == 0
-
-    def test_negative_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "-4")
-        assert resolve_diagnosis_chunk() == 0
-
-    def test_explicit_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "17")
-        assert resolve_diagnosis_chunk() == 17
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "17")
-        assert resolve_diagnosis_chunk(8) == 8
-        assert resolve_diagnosis_chunk(0) == 0
-
-    def test_garbage_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "banana")
-        assert resolve_diagnosis_chunk() == DEFAULT_CHUNK
-
-    def test_garbage_env_warns_once(self, monkeypatch, capsys):
-        import importlib
-
-        # repro.telemetry re-exports the log *function* under the submodule
-        # name, so attribute-style imports resolve to the function — go
-        # through importlib to reach the module that owns _WARNED_ENV.
-        telemetry_log = importlib.import_module("repro.telemetry.log")
-
-        monkeypatch.setenv("REPRO_LOG", "info")
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "banana")
-        monkeypatch.setattr(telemetry_log, "_WARNED_ENV", set())
-        assert resolve_diagnosis_chunk() == DEFAULT_CHUNK
-        err = capsys.readouterr().err
-        assert "REPRO_DIAGNOSIS_BATCH" in err and "'banana'" in err
-        # The warning names the bad value exactly once per process.
-        assert resolve_diagnosis_chunk() == DEFAULT_CHUNK
-        assert capsys.readouterr().err == ""

@@ -10,7 +10,7 @@ from repro.bist.misr import LinearCompactor
 from repro.bist.scan import ScanConfig
 from repro.bist.session import SessionOutcome, collect_error_event_arrays
 from repro.core.diagnosis import DiagnosisResult, diagnose
-from repro.core.diagnosis_batch import DEFAULT_CHUNK, diagnose_population
+from repro.core.diagnosis_batch import diagnose_population
 from repro.core.partitions import Partition
 from repro.core.superposition import (
     apply_superposition,
@@ -81,8 +81,9 @@ class TestAgainstReference:
         assert assert_matches_reference(results, config) > 0
 
     def test_population_beyond_one_chunk(self):
+        # 300 faults: more than the 256-fault chunk older kernels split at.
         config = ScanConfig.single_chain(128)
-        responses = random_population(DEFAULT_CHUNK + 44, 128, seed=3)
+        responses = random_population(300, 128, seed=3)
         results = population_results(responses, config, "random")
         assert assert_matches_reference(results, config) > 0
 
@@ -104,8 +105,8 @@ class TestAgainstReference:
         """Results from different partition sets prune independently."""
         config = ScanConfig.single_chain(64)
         responses = random_population(20, 64, seed=11)
-        results = (population_results(responses[:10], config, "random")
-                   + population_results(responses[10:], config, "interval"))
+        results = (list(population_results(responses[:10], config, "random"))
+                   + list(population_results(responses[10:], config, "interval")))
         assert_matches_reference(results, config)
 
     def test_empty_population(self):

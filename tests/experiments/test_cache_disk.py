@@ -57,6 +57,71 @@ class TestConfiguration:
         assert key_digest("workload", key) != key_digest("workload", key + (1,))
         assert len(key_digest("workload", key)) == 40
 
+    def test_digest_depends_on_producer_source(self, monkeypatch):
+        key = ("s953", 1.0, 128, 7, 400)
+        before = key_digest("workload", key)
+        monkeypatch.setattr(cache_disk, "source_digest", lambda: "changed")
+        assert key_digest("workload", key) != before
+
+    def test_source_digest_is_stable_within_a_process(self):
+        assert cache_disk.source_digest() == cache_disk.source_digest()
+        assert len(cache_disk.source_digest()) == 16
+
+
+class TestStaleSource:
+    """An entry built by different ``repro`` source never comes back."""
+
+    def test_changed_producer_source_makes_old_entry_miss(
+            self, disk_root, monkeypatch):
+        key = ("s27", 1.0, 64, 0, 21)
+        assert cache_disk.store("workload", key, sample_value())
+        assert cache_disk.load("workload", key)[1]
+        monkeypatch.setattr(cache_disk, "source_digest", lambda: "newer-code")
+        value, hit = cache_disk.load("workload", key)
+        assert not hit and value is None
+        assert cache_disk.stats()["misses"] == 1
+
+    def test_memoized_rebuilds_instead_of_serving_stale(
+            self, disk_root, monkeypatch):
+        key = ("s27", 1.0, 64, 0, 22)
+        cache.memoized("workload", key, lambda: "old")
+        cache.clear()
+        monkeypatch.setattr(cache_disk, "source_digest", lambda: "newer-code")
+        assert cache.memoized("workload", key, lambda: "new") == "new"
+
+    def test_warm_from_disk_skips_entries_of_other_source(
+            self, disk_root, monkeypatch):
+        cache_disk.store("workload", ("s27", 1.0, 64, 0, 23), sample_value())
+        cache.clear()
+        monkeypatch.setattr(cache_disk, "source_digest", lambda: "newer-code")
+        assert cache.warm_from_disk() == 0
+        cache_disk.store("workload", ("s27", 1.0, 64, 0, 24), sample_value())
+        cache.clear()
+        assert cache.warm_from_disk() == 1
+
+    def test_store_after_source_change_removes_old_entries(
+            self, disk_root, monkeypatch):
+        """A source change replaces the directory's entries instead of
+        adding a second set beside them."""
+        keys = [("s27", 1.0, 64, 0, k) for k in (25, 26)]
+        for key in keys:
+            cache_disk.store("workload", key, sample_value())
+        before = sorted(path.name for path in disk_root.iterdir())
+        assert len(before) == 2
+        monkeypatch.setattr(cache_disk, "source_digest", lambda: "newer-code")
+        for key in keys:
+            cache_disk.store("workload", key, sample_value())
+        after = sorted(path.name for path in disk_root.iterdir())
+        assert len(after) == 2 and not set(after) & set(before)
+
+    def test_warm_from_disk_removes_entries_of_other_source(
+            self, disk_root, monkeypatch):
+        cache_disk.store("workload", ("s27", 1.0, 64, 0, 27), sample_value())
+        monkeypatch.setattr(cache_disk, "source_digest", lambda: "newer-code")
+        cache.clear()
+        assert cache.warm_from_disk() == 0
+        assert list(disk_root.iterdir()) == []
+
 
 class TestRoundTrip:
     def test_store_then_load(self, disk_root):

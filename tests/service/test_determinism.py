@@ -6,6 +6,7 @@ queueing, executor threads and the fork pool must be invisible in the
 numbers.
 """
 
+from repro.core import diagnosis_batch
 from repro.service.client import ServiceClient
 
 from .conftest import (
@@ -47,6 +48,9 @@ class TestServiceMatchesDirectPath:
 
     def test_forked_server_bit_identical(self, live_server, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
+        # Service batches sit far below the kernel's fork threshold; drop
+        # it so coalesced batches really split over the pool.
+        monkeypatch.setattr(diagnosis_batch, "MIN_CHUNK_FAULTS", 1)
         _, expected = direct_results()
         engine = GatedEngine(workers=None)  # honours REPRO_WORKERS
         _, port = live_server(batch_max=16, engine=engine)

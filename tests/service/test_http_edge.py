@@ -8,9 +8,11 @@ connection, never the dispatcher or the listener.
 import http.client
 import json
 import socket
+import time
 
 import pytest
 
+from repro.service import server as server_module
 from repro.service.client import ServiceClient
 from repro.service.server import MAX_BODY_BYTES
 
@@ -102,3 +104,52 @@ class TestTruncatedBody:
         response = raw_exchange(port, data, shutdown_write=True)
         assert response.startswith(b"HTTP/1.1 400 "), response[:200]
         assert_still_serving(port)
+
+
+class TestReadDeadline:
+    """A request that stalls mid-read gets a typed 408 and its connection
+    closes; the server forgets the connection and keeps serving."""
+
+    @pytest.fixture
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.3)
+
+    @pytest.mark.parametrize("data", [
+        request_head(len(BODY)) + BODY[:10],        # partial body
+        b"POST /diagnose HTTP/1.1\r\nHost: t\r\n",  # partial headers
+        b"POST /diag",                              # partial request line
+    ], ids=["body", "headers", "request-line"])
+    def test_stalled_request_gets_408_and_closes(
+            self, live_server, short_deadline, data):
+        server, port = live_server()
+        with ServiceClient(port=port) as client:
+            client.wait_ready()
+        started = time.monotonic()
+        response = raw_exchange(port, data)  # no shutdown: the client stalls
+        assert time.monotonic() - started < 5
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), response[:200]
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "request_timeout"
+        deadline = time.monotonic() + 5
+        while server.server._conn_tasks and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not server.server._conn_tasks
+        assert_still_serving(port)
+
+    def test_idle_keep_alive_connection_is_not_timed(
+            self, live_server, short_deadline):
+        _, port = live_server()
+        with ServiceClient(port=port) as client:
+            client.wait_ready()
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            for _ in range(2):
+                conn.request("POST", "/diagnose", body=BODY,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                time.sleep(0.6)  # idle past the deadline between requests
+        finally:
+            conn.close()

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.core import diagnosis_batch
 from repro.service.client import ServiceClient
 from repro.service.protocol import ServiceError
 from repro.telemetry import FLIGHT, new_trace_id
@@ -63,11 +64,13 @@ class TestThreeTierTraceTree:
         """The acceptance criterion: one client trace id -> one tree with
         server, engine-batch and fork-chunk spans across >=2 processes."""
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_DIAGNOSIS_BATCH", "4")
         # All concurrent requests queue behind a held batch and then run
-        # as ONE batch — big enough (>= 8 live members after the
-        # diagnosis-chunk split) that the engine fans out over the fork
-        # pool (workers=None honours REPRO_WORKERS).
+        # as ONE batch (workers=None honours REPRO_WORKERS).  A batch only
+        # forks past MIN_CHUNK_FAULTS faults per worker, which would take
+        # thousands of concurrent requests; this test checks that spans
+        # cross the fork, not the fork's cost, so the threshold drops to
+        # 4 and the 12-request batch splits into one chunk per worker.
+        monkeypatch.setattr(diagnosis_batch, "MIN_CHUNK_FAULTS", 4)
         engine = GatedEngine(workers=None)
         _, port = live_server(engine=engine, batch_max=32)
         ids = [new_trace_id() for _ in range(12)]
